@@ -77,30 +77,110 @@ def automorphisms(
     return perms
 
 
+def _base_flag(P: PolytopePoset) -> list[str]:
+    """A maximal chain that starts at an element of least rank and always
+    steps to the first upper cover; on a polytope, a flag."""
+    start = P.bottom
+    if start is None:
+        start = min(P.element_ids(), key=P.rank_of)
+    chain = [start]
+    while ups := P.upper_covers(chain[-1]):
+        chain.append(ups[0])
+    return chain
+
+
+def _orbit(point: str, generators: list[dict[str, str]]) -> set[str]:
+    orbit = {point}
+    frontier = [point]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = g[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
 def aut_order(P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP) -> int:
-    return sum(1 for _ in order_isomorphisms(P, P, max_elements=max_elements))
+    """|Aut(P)| by a stabilizer chain along one base flag, using only P.
+
+    With base flag f_0 < f_1 < ... < f_m (see ``_base_flag``; f_0 is the
+    bottom when P has one), the orbit-stabilizer theorem applied level by
+    level gives
+
+        |Aut(P)| = prod_i |f_i^Stab(f_0..f_{i-1})| * |Stab(f_0..f_m)|.
+
+    The orbit at level i lies among the upper covers of f_{i-1}. Levels are
+    walked deepest first. Each orbit starts as the orbit of f_i under the
+    automorphisms found so far, which all fix f_0..f_{i-1}; each candidate
+    still outside it costs one first-hit ``order_isomorphisms`` search with
+    f_0..f_{i-1} pinned to themselves and f_i pinned to the candidate. A
+    hit is checked to be an automorphism, kept, and the orbit regrown, so
+    automorphisms found deeper prune the candidates of shallower levels.
+    The last factor is counted by enumerating with the whole flag pinned.
+    It is 1 on a polytope, whose automorphisms act freely on flags, and it
+    keeps the count exact on any ranked poset.
+    """
+    flag = _base_flag(P)
+    found: list[dict[str, str]] = []
+    order = 1
+    for i in range(len(flag) - 1, -1, -1):
+        if i:
+            level = P.upper_covers(flag[i - 1])
+        else:
+            level = P.elements_of_rank(P.rank_of(flag[0]))
+        orbit = _orbit(flag[i], found)
+        fixed = {f: f for f in flag[:i]}
+        for c in level:
+            if c in orbit:
+                continue
+            pins = {**fixed, flag[i]: c}
+            hit = next(order_isomorphisms(P, P, max_elements, pins=pins), None)
+            if hit is not None:
+                FacePermutation.from_dict(P, hit).validate()
+                found.append(hit)
+                orbit = _orbit(flag[i], found)
+        order *= len(orbit)
+    pins = {f: f for f in flag}
+    return order * sum(1 for _ in order_isomorphisms(P, P, max_elements, pins=pins))
 
 
 def closure(
     generators: list[FacePermutation], max_size: int = DEFAULT_CLOSURE_CAP
 ) -> int:
-    """Order of the group generated by repeated composition to a fixed point."""
+    """Order of the group the generators generate, counted on flags.
+
+    Precondition: the generators act on a polytope, as those of
+    ``described_generators`` always do. The automorphism group of a
+    polytope acts freely on its flags, so by orbit-stabilizer the group
+    they generate has exactly as many elements as the orbit of one base
+    flag under them; that orbit is what is counted, by breadth-first
+    search, storing flags rather than group elements. On a poset that is
+    not a polytope the count can fall short of the group order.
+
+    Each generator is first checked to be a rank- and cover-preserving
+    bijection (``ValueError`` otherwise). ``ClosureBudgetExceeded`` is
+    raised once the orbit, and so the group, exceeds ``max_size``.
+    """
     if not generators:
         return 1
+    for g in generators:
+        g.validate()
     P = generators[0].poset
-    ident = identity(P).mapping
     idx = P._index
-    gens = [g.mapping for g in generators]
-    seen = {ident}
-    frontier = [ident]
+    gens = [tuple(idx[y] for y in g.mapping) for g in generators]
+    base = tuple(idx[f] for f in _base_flag(P))
+    seen = {base}
+    frontier = [base]
     while frontier:
         new = []
-        for m in frontier:
+        for flag in frontier:
             for g in gens:
-                composed = tuple(g[idx[y]] for y in m)
-                if composed not in seen:
-                    seen.add(composed)
-                    new.append(composed)
+                image = tuple(g[x] for x in flag)
+                if image not in seen:
+                    seen.add(image)
+                    new.append(image)
                     if len(seen) > max_size:
                         raise ClosureBudgetExceeded(
                             f"closure exceeds the cap of {max_size}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import BudgetExceeded, MixedOperatorsWithoutParens, ParseError, PolytopeError
 from .family import JOIN_STEP, TIMES_STEP, FamilyNode, node_for_path
@@ -51,7 +51,9 @@ class CartPow:
     k: int
 
 
-ConstructionExpr = Union[Atom, Join, Cart, JoinPow, CartPow]
+# a | union, not typing.Union: typing caches Union objects for the whole
+# process, which would keep this module alive after a re-import
+ConstructionExpr = Atom | Join | Cart | JoinPow | CartPow
 
 _TOKEN = re.compile(r"\s*(pt|I|x|\^\*|\^x|\*|\(|\)|\d+)")
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,9 @@ class DirectProduct:
     factors: tuple["GroupDescriptor", ...]
 
 
-GroupDescriptor = Union[Sym, Hyp, DirectProduct]
+# a | union, not typing.Union: typing caches Union objects for the whole
+# process, which would keep this module alive after a re-import
+GroupDescriptor = Sym | Hyp | DirectProduct
 
 TRIVIAL = DirectProduct(())
 

@@ -253,16 +253,45 @@ def _signature(P: PolytopePoset, i: int) -> tuple[int, int, int, int, int]:
     )
 
 
+def _cover_masks(covers: tuple[tuple[int, ...], ...]) -> list[int]:
+    masks = []
+    for neighbours in covers:
+        m = 0
+        for j in neighbours:
+            m |= 1 << j
+        masks.append(m)
+    return masks
+
+
 def order_isomorphisms(
     P: PolytopePoset,
     Q: PolytopePoset,
     max_elements: int = DEFAULT_SEARCH_CAP,
+    pins: Optional[dict[str, str]] = None,
 ) -> Iterator[dict[str, str]]:
     """Yield every order- and rank-preserving bijection P -> Q.
 
-    Backtracking over elements chosen most-constrained-first, pruned by the
-    signature (rank, cover degrees, down-set and up-set sizes) and by exact
-    agreement of relations with everything already assigned.
+    ``pins`` maps elements of P to the images they must have in Q; only the
+    bijections that agree with it are yielded. Each pinned element's domain
+    shrinks to its one image, so pinning a flag prefix of P asks whether
+    that partial map extends, the query the automorphism stabilizer chain
+    is built from.
+
+    Method: backtracking over elements. An element's domain starts as the
+    elements of Q with its signature (rank, cover degrees, down-set and
+    up-set sizes). Assigning F -> G narrows the live candidates of every
+    unassigned cover-neighbour of F to the matching cover-neighbours of G,
+    so a completed assignment maps every cover of P onto a cover of Q. It
+    is then an order isomorphism: it is injective on covers and both posets
+    have the same number of covers, since their signature multisets agree.
+
+    The next element comes from a queue of cover-neighbours of assigned
+    elements that were left with at most one live candidate (forced, or a
+    dead end to back out of). Only when the queue runs dry, at a true
+    branch point, are the unassigned elements scanned for the fewest live
+    candidates. In a polytope the images of a flag force every other face
+    (diamond condition plus strong flag connectivity), so a search with a
+    flag pinned takes no branch at all.
     """
     n = len(P)
     if len(Q) != n:
@@ -279,79 +308,90 @@ def order_isomorphisms(
     sig_mask: dict[tuple, int] = {}
     for j, s in enumerate(sig_q):
         sig_mask[s] = sig_mask.get(s, 0) | (1 << j)
-    domains = [sig_mask[s] for s in sig_p]
-    dom_size = [d.bit_count() for d in domains]
+    live = [sig_mask[s] for s in sig_p]
+    for a, b in (pins or {}).items():
+        i = P._index[a]
+        live[i] &= 1 << Q._index[b]
+        if not live[i]:
+            return
 
-    up_p, down_p = P._up, P._down
-    up_q, down_q = Q._up, Q._down
-    req_up = [0] * n
-    req_down = [0] * n
+    up_p, down_p = P._upper_covers, P._lower_covers
+    up_q, down_q = _cover_masks(Q._upper_covers), _cover_masks(Q._lower_covers)
     mapping = [-1] * n
     used = 0
-    assigned: list[int] = []
+    trail: list[tuple[int, int]] = []  # (element, live mask before narrowing)
+    assigned: list[tuple[int, int, int]] = []  # (element, len(trail), len(queue))
+    queue = [i for i in range(n) if live[i].bit_count() == 1]
+    head = 0
 
     def select() -> int:
-        best = -1
-        best_key = None
+        nonlocal head
+        while head < len(queue):
+            i = queue[head]
+            head += 1
+            if mapping[i] < 0:
+                return i
+        free = ~used
+        best, best_count = -1, n + 1
         for i in range(n):
-            if mapping[i] >= 0:
-                continue
-            key = (-(req_up[i] | req_down[i]).bit_count(), dom_size[i], i)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = i
+            if mapping[i] < 0:
+                count = (live[i] & free).bit_count()
+                if count < best_count:
+                    best, best_count = i, count
         return best
 
     def candidates(i: int) -> list[int]:
-        out = []
-        for j in _bits(domains[i] & ~used):
-            if up_q[j] & used == req_up[i] and down_q[j] & used == req_down[i]:
-                out.append(j)
-        return out
+        return list(_bits(live[i] & ~used))
 
     def assign(i: int, j: int) -> None:
         nonlocal used
         mapping[i] = j
         used |= 1 << j
-        bit = 1 << j
-        self_bit = 1 << i
-        for a in _bits(down_p[i] & ~self_bit):
-            req_up[a] |= bit
-        for a in _bits(up_p[i] & ~self_bit):
-            req_down[a] |= bit
-        assigned.append(i)
+        assigned.append((i, len(trail), len(queue)))
+        free = ~used
+        for neighbours, images in ((up_p[i], up_q[j]), (down_p[i], down_q[j])):
+            for a in neighbours:
+                if mapping[a] >= 0:
+                    continue
+                old = live[a]
+                new = old & images
+                if new != old:
+                    trail.append((a, old))
+                    live[a] = new
+                if (new & free).bit_count() <= 1:
+                    queue.append(a)
 
     def unassign() -> None:
         nonlocal used
-        i = assigned.pop()
-        j = mapping[i]
+        i, mark, queued = assigned.pop()
+        used &= ~(1 << mapping[i])
         mapping[i] = -1
-        used &= ~(1 << j)
-        clear = ~(1 << j)
-        self_bit = 1 << i
-        for a in _bits(down_p[i] & ~self_bit):
-            req_up[a] &= clear
-        for a in _bits(up_p[i] & ~self_bit):
-            req_down[a] &= clear
+        while len(trail) > mark:
+            a, old = trail.pop()
+            live[a] = old
+        del queue[queued:]
 
-    # frames: [element index, candidate list, next candidate position]
+    # frames: [element index, candidate list, next candidate position,
+    #          queue head before the element was selected]
     first = select()
-    stack = [[first, candidates(first), 0]]
+    stack = [[first, candidates(first), 0, 0]]
     while stack:
         frame = stack[-1]
-        i, cands, pos = frame
-        if assigned and assigned[-1] == i:
+        i, cands, pos, head_before = frame
+        if assigned and assigned[-1][0] == i:
             unassign()
         if pos >= len(cands):
             stack.pop()
+            head = head_before
             continue
         frame[2] = pos + 1
         assign(i, cands[pos])
         if len(assigned) == n:
             yield {P._ids[a]: Q._ids[mapping[a]] for a in range(n)}
         else:
+            head_before = head
             nxt = select()
-            stack.append([nxt, candidates(nxt), 0])
+            stack.append([nxt, candidates(nxt), 0, head_before])
 
 
 def is_isomorphic(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .errors import PolytopeError
 from .poset import (
     DEFAULT_SEARCH_CAP,
     PolytopePoset,
@@ -33,14 +34,15 @@ def pyramid_apex_candidates(P: PolytopePoset) -> list[str]:
 
 
 def _subposet_avoiding(P: PolytopePoset, v: str) -> Optional[PolytopePoset]:
-    """The induced poset on elements not above v, or None if degenerate."""
+    """The induced poset on elements not above v, or None if it fails the
+    structural invariants (e.g. it has several maximal elements)."""
     keep = [eid for eid in P.element_ids() if not P.less_eq(v, eid)]
     keep_set = set(keep)
     elements = [(eid, P.rank_of(eid)) for eid in keep]
     covers = [(a, b) for a, b in P.covers if a in keep_set and b in keep_set]
     try:
         return PolytopePoset(elements, covers)
-    except Exception:
+    except PolytopeError:
         return None
 
 

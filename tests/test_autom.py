@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyprod as pp
-from polyprod import family
+from polyprod import family, groups
 from polyprod.autom import FacePermutation, closure, described_generators, identity
 from polyprod.errors import ClosureBudgetExceeded
-from polyprod.poset import SearchBudgetExceeded
+from polyprod.poset import PolytopePoset, SearchBudgetExceeded, order_isomorphisms
 
 from oracles import naive_automorphism_count
 
@@ -115,11 +115,78 @@ def test_described_generators_prism():
     assert closure(gens) == 12
 
 
-def test_generators_match_brute_force_through_step_3():
-    for steps in range(4):
+def test_generators_match_brute_force_through_step_4():
+    for steps in range(5):
         for node in family.enumerate_family(steps):
             gens = described_generators(node)
             assert closure(gens) == pp.aut_order(node.polytope), node.path
+
+
+@pytest.mark.slow
+def test_formula_brute_generators_agree_through_step_5():
+    nodes = [n for steps in range(6) for n in family.enumerate_family(steps)]
+    assert len(nodes) == 63
+    for node in nodes:
+        formula = groups.order(family.aut_descriptor(node))
+        assert pp.aut_order(node.polytope) == formula, node.path
+        assert closure(described_generators(node)) == formula, node.path
+
+
+def _square_mutants(square):
+    """The square with one cover deleted, for each cover; the square without
+    its bottom (four minimal elements); and the square whose edge over
+    (d, a) is moved onto (c, d), making a double edge."""
+    out = []
+    for cover in sorted(square.covers):
+        covers = set(square.covers) - {cover}
+        out.append(PolytopePoset(square.elements(), covers, check=False))
+    bottomless = [(e, r) for e, r in square.elements() if r >= 0]
+    covers = [(a, b) for a, b in square.covers if a != square.bottom]
+    out.append(PolytopePoset(bottomless, covers, check=False))
+    out.append(_double_edge())
+    return out
+
+
+def _double_edge():
+    """Vertices a, b, c, d; edges ab, bc and two edges over c and d.
+
+    Elements are listed so that the base flag runs through a and ab, which
+    every automorphism fixes; swapping the two double edges fixes that flag,
+    so the flag stabilizer has order 2."""
+    vertices = ["a", "b", "c", "d"]
+    edges = {"ab": "ab", "bc": "bc", "cd": "cd", "dc": "cd"}
+    elements = [("0", -1)] + [(v, 0) for v in vertices]
+    elements += [(e, 1) for e in edges] + [("1", 2)]
+    covers = [("0", v) for v in vertices] + [(e, "1") for e in edges]
+    covers += [(v, e) for e, ends in edges.items() for v in ends]
+    return PolytopePoset(elements, covers)
+
+
+def test_aut_order_exact_off_polytopes(square):
+    mutants = _square_mutants(square)
+    for P in mutants:
+        assert not pp.verify_polytope(P).is_polytope
+        assert pp.aut_order(P) == naive_automorphism_count(P)
+    assert pp.aut_order(mutants[-1]) == 2
+
+
+def test_pinned_search(square):
+    vertex = square.elements_of_rank(0)[0]
+    fixing = list(order_isomorphisms(square, square, pins={vertex: vertex}))
+    assert len(fixing) == 2
+    assert all(m[vertex] == vertex for m in fixing)
+    # an edge cannot be the image of a vertex
+    edge_id = square.elements_of_rank(1)[0]
+    assert list(order_isomorphisms(square, square, pins={vertex: edge_id})) == []
+
+
+def test_closure_rejects_non_automorphism(square):
+    a, b = square.elements_of_rank(0)[:2]
+    swap = {eid: eid for eid in square.element_ids()}
+    swap[a], swap[b] = b, a
+    g = FacePermutation.from_dict(square, swap)
+    with pytest.raises(ValueError, match="cover"):
+        closure([g])
 
 
 # property suite: group axioms on randomly drawn pairs over the corpus

@@ -1,5 +1,7 @@
+import pytest
+
 import polyprod as pp
-from polyprod import family
+from polyprod import family, structure
 
 
 def test_triangle_apex_candidates(triangle):
@@ -84,3 +86,18 @@ def test_pyramid_implies_apex_candidates(small_corpus):
     for P in small_corpus.values():
         if P.rank >= 1 and pp.pyramid_decompose(P) is not None:
             assert pp.pyramid_apex_candidates(P)
+
+
+def test_subposet_avoiding_degenerate_is_none(square):
+    # without one vertex of the square, two edges are left as maximal elements
+    vertex = square.elements_of_rank(0)[0]
+    assert structure._subposet_avoiding(square, vertex) is None
+
+
+def test_subposet_avoiding_propagates_other_errors(square, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a structural error")
+
+    monkeypatch.setattr(structure, "PolytopePoset", broken)
+    with pytest.raises(RuntimeError):
+        structure._subposet_avoiding(square, square.elements_of_rank(0)[0])
