@@ -13,7 +13,6 @@ from .family import FamilyNode, aut_descriptor, children, enumerate_family, root
 from .groups import DirectProduct, Hyp, Sym
 from .poset import (
     PolytopePoset,
-    Section,
     edge,
     flags,
     from_components,
@@ -30,7 +29,6 @@ __all__ = [
     "FacePermutation",
     "FamilyNode",
     "PolytopePoset",
-    "Section",
     "ValidityReport",
     "DirectProduct",
     "Hyp",

@@ -5,91 +5,85 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ClosureBudgetExceeded, MissingProvenance
-from .poset import (
-    DEFAULT_SEARCH_CAP,
-    PolytopePoset,
-    edge,
-    order_isomorphisms,
-    point,
-)
-from .products import cartesian, join, pair_id
+from .errors import ClosureBudgetExceeded
+from .family import JOIN_STEP, TIMES_STEP
+from .poset import DEFAULT_SEARCH_CAP, PolytopePoset, order_isomorphisms
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
 class FacePermutation:
-    """A rank- and order-preserving bijection of a fixed polytope's faces."""
+    """A rank- and order-preserving bijection of a fixed polytope's faces;
+    ``mapping[i]`` is the image of face i."""
 
     poset: PolytopePoset
-    mapping: tuple[str, ...]  # image of element i in poset iteration order
+    mapping: tuple[int, ...]
 
     @classmethod
     def from_dict(cls, poset: PolytopePoset, mapping: dict[str, str]) -> "FacePermutation":
-        return cls(poset, tuple(mapping[eid] for eid in poset.element_ids()))
+        return cls(poset, tuple(poset.face(mapping[eid]) for eid in poset.labels))
 
     def __getitem__(self, eid: str) -> str:
-        return self.mapping[self.poset._index[eid]]
+        return self.poset.labels[self.mapping[self.poset.face(eid)]]
 
     def as_dict(self) -> dict[str, str]:
-        return dict(zip(self.poset.element_ids(), self.mapping))
+        labels = self.poset.labels
+        return {eid: labels[j] for eid, j in zip(labels, self.mapping)}
 
     def compose(self, other: "FacePermutation") -> "FacePermutation":
         """self after other: x -> self(other(x))."""
-        idx = self.poset._index
-        return FacePermutation(
-            self.poset, tuple(self.mapping[idx[y]] for y in other.mapping)
-        )
+        return FacePermutation(self.poset, tuple(self.mapping[y] for y in other.mapping))
 
     def inverse(self) -> "FacePermutation":
-        inv = {img: eid for eid, img in zip(self.poset.element_ids(), self.mapping)}
-        return FacePermutation.from_dict(self.poset, inv)
+        inv = [0] * len(self.mapping)
+        for i, j in enumerate(self.mapping):
+            inv[j] = i
+        return FacePermutation(self.poset, tuple(inv))
 
     def is_identity(self) -> bool:
-        return self.mapping == self.poset.element_ids()
+        return self.mapping == tuple(range(len(self.mapping)))
 
     def validate(self) -> None:
-        P = self.poset
-        if sorted(self.mapping) != sorted(P.element_ids()):
+        P, m = self.poset, self.mapping
+        if sorted(m) != list(range(len(P))):
             raise ValueError("not a bijection on the element set")
-        for eid, img in zip(P.element_ids(), self.mapping):
-            if P.rank_of(eid) != P.rank_of(img):
-                raise ValueError(f"rank not preserved at {eid!r}")
-        mapped = {(self[a], self[b]) for a, b in P.covers}
-        if mapped != set(P.covers):
-            raise ValueError("cover relation not preserved")
+        for i, j in enumerate(m):
+            if P.ranks[i] != P.ranks[j]:
+                raise ValueError(f"rank not preserved at face {i}")
+        for a, ups in enumerate(P.upper):
+            images = P.upper[m[a]]
+            if any(m[b] not in images for b in ups):
+                raise ValueError("cover relation not preserved")
 
 
 def identity(P: PolytopePoset) -> FacePermutation:
-    return FacePermutation(P, P.element_ids())
+    return FacePermutation(P, tuple(range(len(P))))
 
 
 def automorphisms(
     P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP
 ) -> list[FacePermutation]:
     """The full automorphism group as an explicit, deterministically ordered list."""
-    perms = [
-        FacePermutation.from_dict(P, m)
-        for m in order_isomorphisms(P, P, max_elements=max_elements)
+    return [
+        FacePermutation(P, m)
+        for m in sorted(order_isomorphisms(P, P, max_elements=max_elements))
     ]
-    perms.sort(key=lambda g: g.mapping)
-    return perms
 
 
-def _base_flag(P: PolytopePoset) -> list[str]:
-    """A maximal chain that starts at an element of least rank and always
-    steps to the first upper cover; on a polytope, a flag."""
-    start = P.bottom
+def _base_flag(P: PolytopePoset) -> list[int]:
+    """A maximal chain that starts at a face of least rank and always steps
+    to the first upper cover; on a polytope, a flag."""
+    start = P.bottom_face
     if start is None:
-        start = min(P.element_ids(), key=P.rank_of)
+        start = min(range(len(P)), key=P.ranks.__getitem__)
     chain = [start]
-    while ups := P.upper_covers(chain[-1]):
+    while ups := P.upper[chain[-1]]:
         chain.append(ups[0])
     return chain
 
 
-def _orbit(point: str, generators: list[dict[str, str]]) -> set[str]:
+def _orbit(point: int, generators: list[tuple[int, ...]]) -> set[int]:
     orbit = {point}
     frontier = [point]
     while frontier:
@@ -123,13 +117,13 @@ def aut_order(P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP) -> int:
     keeps the count exact on any ranked poset.
     """
     flag = _base_flag(P)
-    found: list[dict[str, str]] = []
+    found: list[tuple[int, ...]] = []
     order = 1
     for i in range(len(flag) - 1, -1, -1):
         if i:
-            level = P.upper_covers(flag[i - 1])
+            level = P.upper[flag[i - 1]]
         else:
-            level = P.elements_of_rank(P.rank_of(flag[0]))
+            level = P.faces_of_rank(P.ranks[flag[0]])
         orbit = _orbit(flag[i], found)
         fixed = {f: f for f in flag[:i]}
         for c in level:
@@ -138,7 +132,7 @@ def aut_order(P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP) -> int:
             pins = {**fixed, flag[i]: c}
             hit = next(order_isomorphisms(P, P, max_elements, pins=pins), None)
             if hit is not None:
-                FacePermutation.from_dict(P, hit).validate()
+                FacePermutation(P, hit).validate()
                 found.append(hit)
                 orbit = _orbit(flag[i], found)
         order *= len(orbit)
@@ -167,10 +161,8 @@ def closure(
         return 1
     for g in generators:
         g.validate()
-    P = generators[0].poset
-    idx = P._index
-    gens = [tuple(idx[y] for y in g.mapping) for g in generators]
-    base = tuple(idx[f] for f in _base_flag(P))
+    gens = [g.mapping for g in generators]
+    base = tuple(_base_flag(generators[0].poset))
     seen = {base}
     frontier = [base]
     while frontier:
@@ -192,65 +184,6 @@ def closure(
 # -- generating sets along the construction history ----------------------------
 
 
-def _lift(new: PolytopePoset, parent: PolytopePoset, g: FacePermutation) -> FacePermutation:
-    """Act with g on the first coordinate of every pair-built face."""
-    mapping = {}
-    for eid in new.element_ids():
-        if eid not in new.provenance:
-            raise MissingProvenance(f"element {eid!r} has no product provenance")
-        p, q = new.provenance[eid]
-        mapping[eid] = pair_id(g[p], q)
-    return FacePermutation.from_dict(new, mapping)
-
-
-def _swap_last_coords(new: PolytopePoset, parent: PolytopePoset) -> FacePermutation:
-    """Exchange the two most recently multiplied copies of the same atom.
-
-    `new` is a product of `parent` with an atom, and `parent` ends in a copy
-    of the same atom; the permutation sends ((f, a), b) to ((f, b), a). When
-    the parent is the bare atom (no provenance), the swap is (a, b) -> (b, a).
-    """
-    parent_is_atom = not parent.provenance
-    mapping = {}
-    for eid in new.element_ids():
-        p, q = new.provenance[eid]
-        if parent_is_atom:
-            mapping[eid] = pair_id(q, p)
-        else:
-            p1, p2 = parent.provenance[p]
-            mapping[eid] = pair_id(pair_id(p1, q), p2)
-    return FacePermutation.from_dict(new, mapping)
-
-
-def _edge_flip_on_second(new: PolytopePoset) -> FacePermutation:
-    """Swap the two copies of the parent inside parent x I (identity x flip)."""
-    flip = {"a": "b", "b": "a", "0": "0", "1": "1"}
-    mapping = {}
-    for eid in new.element_ids():
-        p, q = new.provenance[eid]
-        mapping[eid] = pair_id(p, flip[q])
-    return FacePermutation.from_dict(new, mapping)
-
-
-def _triangle_last_transposition(tri: PolytopePoset) -> FacePermutation:
-    """On the triangle I * pt, swap the second vertex of I with the apex.
-
-    Faces of the triangle correspond to vertex subsets of {a, b, apex}; this
-    is the transposition (b apex) on subsets, spelled out on the 8 faces.
-    """
-    mapping = {
-        pair_id("0", "0"): pair_id("0", "0"),
-        pair_id("a", "0"): pair_id("a", "0"),
-        pair_id("b", "0"): pair_id("0", "1"),
-        pair_id("1", "0"): pair_id("a", "1"),
-        pair_id("0", "1"): pair_id("b", "0"),
-        pair_id("a", "1"): pair_id("1", "0"),
-        pair_id("b", "1"): pair_id("b", "1"),
-        pair_id("1", "1"): pair_id("1", "1"),
-    }
-    return FacePermutation.from_dict(tri, mapping)
-
-
 def described_generators(node) -> list[FacePermutation]:
     """Generating set of Aut(node.polytope) built recursively along the
     node's construction history.
@@ -260,34 +193,39 @@ def described_generators(node) -> list[FacePermutation]:
     for a pyramid's prism child); the root edge contributes the vertex flip.
     The triangle, being I * pt = pt * pt * pt, gets its extra transposition
     as an explicit base case.
+
+    Generators are index tuples, carried from each step's polytope to the
+    next by the layout of ``products``, so only sizes are needed: a face f
+    of P * pt is (f // 2, f % 2), and a face f > 0 of P x I is
+    (1 + x // 3, x % 3) with x = f - 1, where 0, 1, 2 are the positions of
+    the vertices a, b and the edge of I among its non-bottom faces.
+    Every automorphism fixes the bottom, face 0 in every family polytope.
     """
-    P = edge()
-    flip = FacePermutation.from_dict(
-        P, {"0": "0", "a": "b", "b": "a", "1": "1"}
-    )
-    gens = [flip]
-    prev_prod = "cartesian"
+    n = 4  # faces of the root edge I: 0, a, b, 1
+    gens = [(0, 2, 1, 3)]
+    prev = TIMES_STEP
     for depth, step in enumerate(node.path):
-        if step == "xI":
-            new = cartesian(P, edge())
-            lifted = [_lift(new, P, g) for g in gens]
-            if prev_prod == "cartesian":
-                extra = _swap_last_coords(new, P)
+        if step == TIMES_STEP:
+            xs = range(3 * (n - 1))
+            gens = [(0, *(3 * g[1 + x // 3] - 2 + x % 3 for x in xs)) for g in gens]
+            if prev == TIMES_STEP:
+                # ((p, a), b) -> ((p, b), a): swap the last two base-3 digits
+                gens.append((0, *(1 + x // 9 * 9 + x % 3 * 3 + x // 3 % 3 for x in xs)))
             else:
-                extra = _edge_flip_on_second(new)
-            gens = lifted + [extra]
-            prev_prod = "cartesian"
-        elif step == "*pt":
-            new = join(P, point())
-            lifted = [_lift(new, P, g) for g in gens]
+                # (p, q) -> (p, flip q): swap the vertices of the new edge
+                gens.append((0, *(1 + x // 3 * 3 + (1, 0, 2)[x % 3] for x in xs)))
+            n = 3 * (n - 1) + 1
+        elif step == JOIN_STEP:
+            gens = [tuple(2 * g[f // 2] + f % 2 for f in range(2 * n)) for g in gens]
             if depth == 0:
-                gens = lifted + [_triangle_last_transposition(new)]
-            elif prev_prod == "join":
-                gens = lifted + [_swap_last_coords(new, P)]
-            else:
-                gens = lifted
-            prev_prod = "join"
+                # on I * pt, the transposition of the vertex b and the apex
+                gens.append((0, 4, 2, 6, 1, 5, 3, 7))
+            elif prev == JOIN_STEP:
+                # ((p, a), b) -> ((p, b), a): swap the last two binary digits
+                gens.append(tuple(f & ~3 | (f & 1) << 1 | f >> 1 & 1 for f in range(2 * n)))
+            n *= 2
         else:
             raise ValueError(f"unknown construction step {step!r}")
-        P = new
-    return gens
+        prev = step
+    P = node.polytope
+    return [FacePermutation(P, g) for g in gens]

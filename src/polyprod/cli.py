@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 polytope invalid, 2 parse error, 3 formula method
 requested on a non-family expression, 4 budget exceeded.
+
+``verify --json FILE`` exits 2, with ``parse error: ...`` on stderr, when the
+file cannot be read, is not JSON or lacks the elements/covers/id/rank
+fields. When the poset constructor rejects what it describes (a cycle, a
+dangling cover, a duplicate id, no elements), it prints a report whose one
+failure has check "structure" and exits 1, as for any invalid poset.
 """
 
 from __future__ import annotations
@@ -12,12 +18,7 @@ import sys
 
 from . import groups, poset
 from .autom import aut_order, closure, described_generators
-from .errors import (
-    BudgetExceeded,
-    ClosureBudgetExceeded,
-    ParseError,
-    SearchBudgetExceeded,
-)
+from .errors import BudgetExceeded, ParseError, PolytopeError
 from .expr import eval_expr, expr_to_family, parse_expr
 from .family import aut_descriptor, enumerate_family, node_to_json
 from .structure import prism_decompose, pyramid_decompose
@@ -79,8 +80,19 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.json_file:
-        with open(args.json_file) as fh:
-            P = poset.from_json(json.load(fh), check=False)
+        try:
+            with open(args.json_file) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"{args.json_file}: {exc}") from None
+        try:
+            P = poset.from_json(data, check=False)
+        except ParseError:
+            raise
+        except PolytopeError as exc:
+            failure = {"check": "structure", "error": str(exc)}
+            print(json.dumps({"is_polytope": False, "failures": [failure]}, indent=2))
+            return EXIT_INVALID
     elif args.expr:
         P = eval_expr(parse_expr(args.expr), max_elements=args.max_elements, check=False)
     else:
@@ -93,7 +105,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_aut(args) -> int:
     ast = parse_expr(args.expr)
-    node = expr_to_family(ast, max_elements=args.max_elements)
+    node = expr_to_family(ast)
     method = args.method
     if method is None:
         method = "formula" if node is not None else "brute"
@@ -135,7 +147,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    nodes = enumerate_family(args.steps, max_elements=args.max_elements)
+    nodes = enumerate_family(args.steps)
     if args.json:
         print(json.dumps([node_to_json(n) for n in nodes], indent=2))
     else:
@@ -166,7 +178,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (BudgetExceeded, SearchBudgetExceeded, ClosureBudgetExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -29,29 +29,30 @@ class NotComparable(PolytopeError):
     pass
 
 
-class SearchBudgetExceeded(PolytopeError):
-    pass
-
-
-class ClosureBudgetExceeded(PolytopeError):
-    pass
-
-
-class MissingProvenance(PolytopeError):
-    pass
-
-
 class NonPositiveExponent(PolytopeError):
     pass
 
 
 class BudgetExceeded(PolytopeError):
+    """Some budget (element count, search size, closure size) was exceeded."""
+
+
+class SearchBudgetExceeded(BudgetExceeded):
+    pass
+
+
+class ClosureBudgetExceeded(BudgetExceeded):
     pass
 
 
 class ParseError(PolytopeError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    """Malformed input: expression text (with the position of the fault) or
+    a stored poset."""
+
+    def __init__(self, message: str, position: int | None = None):
+        if position is not None:
+            message = f"{message} (at position {position})"
+        super().__init__(message)
         self.position = position
 
 

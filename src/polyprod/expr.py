@@ -268,12 +268,10 @@ def _family_steps(e: ConstructionExpr) -> Optional[list[str]]:
     return None
 
 
-def expr_to_family(
-    e: ConstructionExpr, max_elements: Optional[int] = DEFAULT_SEARCH_CAP
-) -> Optional[FamilyNode]:
+def expr_to_family(e: ConstructionExpr) -> Optional[FamilyNode]:
     """The family node for a syntactically family-shaped expression: I
     followed by a sequence of *pt and xI steps (powers expand to runs)."""
     steps = _family_steps(e)
     if steps is None:
         return None
-    return node_for_path(steps, max_elements=max_elements)
+    return node_for_path(steps)

@@ -6,11 +6,11 @@ state (A, k, prod) from which the automorphism group descriptor is read off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 from . import groups
 from .groups import GroupDescriptor, Hyp, Sym
-from .poset import DEFAULT_SEARCH_CAP, PolytopePoset, edge, point
+from .poset import PolytopePoset, edge, point
 from .products import CARTESIAN, JOIN, cartesian, join
 
 TIMES_STEP = "xI"
@@ -23,99 +23,59 @@ class FamilyNode:
 
     `A` is the saved automorphism group of the last polytope built via the
     other product (trivial descriptor for "none yet"), `k` the length of the
-    current run of same-product steps, `prod` the product used last. The
-    polytope is None when it was elided for exceeding an element cap;
-    `n_elements` still tracks its size.
+    current run of same-product steps, `prod` the product used last, `path`
+    the steps from the root edge. The polytope is built from `path` when it
+    is first read, so listing nodes and reading their groups builds none.
     """
 
-    polytope: Optional[PolytopePoset]
     A: GroupDescriptor
     k: int
     prod: str
     path: tuple[str, ...]
-    n_elements: int
+
+    @cached_property
+    def polytope(self) -> PolytopePoset:
+        P = edge()
+        for step in self.path:
+            P = cartesian(P, edge()) if step == TIMES_STEP else join(P, point())
+        return P
 
 
 def root() -> FamilyNode:
     """The edge I with its initial state: A trivial, k = 1, prod = cartesian."""
-    return FamilyNode(
-        polytope=edge(),
-        A=groups.TRIVIAL,
-        k=1,
-        prod=CARTESIAN,
-        path=(),
-        n_elements=4,
-    )
+    return FamilyNode(A=groups.TRIVIAL, k=1, prod=CARTESIAN, path=())
 
 
-def children(
-    node: FamilyNode, max_elements: Optional[int] = DEFAULT_SEARCH_CAP
-) -> tuple[FamilyNode, FamilyNode]:
+def children(node: FamilyNode) -> tuple[FamilyNode, FamilyNode]:
     """The two successors (Cartesian-with-I child, join-with-pt child).
 
     The join child of the root is the single hard-coded base case: the
     triangle I * pt equals pt * pt * pt, so it restarts with A trivial and
     k = 3 rather than following the inductive rule.
     """
-    times_n = (node.n_elements - 1) * 3 + 1
-    join_n = node.n_elements * 2
-
-    def build(op, size):
-        if node.polytope is None:
-            return None
-        if max_elements is not None and size > max_elements:
-            return None
-        return op(node.polytope)
-
-    times_poly = build(lambda p: cartesian(p, edge()), times_n)
-    join_poly = build(lambda p: join(p, point()), join_n)
-
+    times_path = node.path + (TIMES_STEP,)
     if node.prod == CARTESIAN:
-        times_child = FamilyNode(
-            polytope=times_poly,
-            A=node.A,
-            k=node.k + 1,
-            prod=CARTESIAN,
-            path=node.path + (TIMES_STEP,),
-            n_elements=times_n,
-        )
+        times_child = FamilyNode(A=node.A, k=node.k + 1, prod=CARTESIAN, path=times_path)
     else:
         times_child = FamilyNode(
-            polytope=times_poly,
             A=groups.normalize(groups.direct(node.A, Sym(node.k))),
             k=1,
             prod=CARTESIAN,
-            path=node.path + (TIMES_STEP,),
-            n_elements=times_n,
+            path=times_path,
         )
 
+    join_path = node.path + (JOIN_STEP,)
     if not node.path:
-        join_child = FamilyNode(
-            polytope=join_poly,
-            A=groups.TRIVIAL,
-            k=3,
-            prod=JOIN,
-            path=(JOIN_STEP,),
-            n_elements=join_n,
-        )
+        join_child = FamilyNode(A=groups.TRIVIAL, k=3, prod=JOIN, path=join_path)
     elif node.prod == CARTESIAN:
         join_child = FamilyNode(
-            polytope=join_poly,
             A=groups.normalize(groups.direct(node.A, Hyp(node.k))),
             k=1,
             prod=JOIN,
-            path=node.path + (JOIN_STEP,),
-            n_elements=join_n,
+            path=join_path,
         )
     else:
-        join_child = FamilyNode(
-            polytope=join_poly,
-            A=node.A,
-            k=node.k + 1,
-            prod=JOIN,
-            path=node.path + (JOIN_STEP,),
-            n_elements=join_n,
-        )
+        join_child = FamilyNode(A=node.A, k=node.k + 1, prod=JOIN, path=join_path)
     return times_child, join_child
 
 
@@ -126,9 +86,7 @@ def aut_descriptor(node: FamilyNode) -> GroupDescriptor:
     return groups.normalize(groups.direct(node.A, tail))
 
 
-def enumerate_family(
-    steps: int, max_elements: Optional[int] = DEFAULT_SEARCH_CAP
-) -> list[FamilyNode]:
+def enumerate_family(steps: int) -> list[FamilyNode]:
     """All 2**steps nodes at the given depth, Cartesian branch first."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -136,19 +94,17 @@ def enumerate_family(
     for _ in range(steps):
         nxt = []
         for node in level:
-            times_child, join_child = children(node, max_elements=max_elements)
+            times_child, join_child = children(node)
             nxt.append(times_child)
             nxt.append(join_child)
         level = nxt
     return level
 
 
-def node_for_path(
-    path, max_elements: Optional[int] = DEFAULT_SEARCH_CAP
-) -> FamilyNode:
+def node_for_path(path) -> FamilyNode:
     node = root()
     for step in path:
-        times_child, join_child = children(node, max_elements=max_elements)
+        times_child, join_child = children(node)
         if step == TIMES_STEP:
             node = times_child
         elif step == JOIN_STEP:

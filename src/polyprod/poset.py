@@ -1,8 +1,12 @@
 """Ranked face posets: the carrier type plus sections, flags and isomorphism.
 
-A polytope is stored as its Hasse diagram (cover relation) together with
-precomputed reachability bitsets, so order queries, sections and the
-backtracking searches are all cheap bit operations.
+Faces are the indices 0..n-1. A polytope is stored as its Hasse diagram
+(the upper and lower covers of every face) together with precomputed
+reachability bitsets, so order queries, sections and the backtracking
+searches are all cheap bit operations. Each face also has a string id, its
+label. Labels are translated to faces and back only in this module: by the
+label API on the poset, by ``from_components``/``from_json`` and by the
+serializers.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from .errors import (
     NotBounded,
     NotComparable,
     NotGraded,
+    ParseError,
+    PolytopeError,
     SearchBudgetExceeded,
     UnknownId,
 )
@@ -31,74 +37,72 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class PolytopePoset:
-    """Immutable ranked poset with unique bottom (rank -1) and top.
+    """Immutable ranked poset, normally with unique bottom (rank -1) and top.
 
-    ``provenance`` maps product-built element ids to the pair of parent ids
-    they came from; generator construction relies on it.
+    Face i has label ``labels[i]`` and rank ``ranks[i]``; ``upper[i]`` and
+    ``lower[i]`` are its upper and lower covers in ascending order, and
+    ``above[i]``/``below[i]`` the bitmasks of the faces >= i and <= i.
+    ``bottom_face``/``top_face`` are the unique faces of least and greatest
+    rank, or None. The methods taking or returning ids are the label API.
     """
 
     __slots__ = (
-        "_ids",
-        "_rank_of",
-        "_index",
-        "covers",
+        "labels",
+        "ranks",
         "rank",
-        "provenance",
-        "_up",
-        "_down",
-        "_upper_covers",
-        "_lower_covers",
-        "bottom",
-        "top",
+        "upper",
+        "lower",
+        "above",
+        "below",
+        "bottom_face",
+        "top_face",
+        "_index",
     )
 
-    def __init__(self, elements, covers, provenance=None, check=True):
-        ids = []
-        rank_of = {}
-        for eid, rk in elements:
-            if eid in rank_of:
+    def __init__(self, labels, ranks, covers, check=True):
+        """Faces are given by their labels and ranks, covers as pairs (i, j)
+        of faces with j covering i. Duplicate labels, cycles and an empty
+        face set are always rejected; with ``check`` the first structural
+        violation (see ``violations``) is raised too."""
+        self.labels = tuple(labels)
+        self.ranks = tuple(ranks)
+        n = len(self.labels)
+        self._index = {}
+        for i, eid in enumerate(self.labels):
+            if eid in self._index:
                 raise DuplicateId(f"duplicate element id {eid!r}")
-            rank_of[eid] = rk
-            ids.append(eid)
-        self._ids = tuple(ids)
-        self._rank_of = rank_of
-        self._index = {eid: i for i, eid in enumerate(ids)}
+            self._index[eid] = i
+        if not n:
+            raise NotBounded("poset has no elements")
 
-        covers = frozenset(covers)
-        for a, b in covers:
-            if a not in rank_of or b not in rank_of:
-                raise DanglingCover(f"cover ({a!r}, {b!r}) references unknown id")
-        self.covers = covers
-
-        n = len(ids)
         upper = [[] for _ in range(n)]
         lower = [[] for _ in range(n)]
         for a, b in covers:
-            upper[self._index[a]].append(self._index[b])
-            lower[self._index[b]].append(self._index[a])
-        self._upper_covers = tuple(tuple(sorted(u)) for u in upper)
-        self._lower_covers = tuple(tuple(sorted(l)) for l in lower)
+            upper[a].append(b)
+            lower[b].append(a)
+        self.upper = tuple(tuple(sorted(u)) for u in upper)
+        self.lower = tuple(tuple(sorted(l)) for l in lower)
 
-        self._up = self._reachability(self._upper_covers)
-        self._down = self._reachability(self._lower_covers)
+        self.above = self._reachability(self.upper)
+        self.below = self._reachability(self.lower)
 
-        min_rank = min(rank_of.values())
-        max_rank = max(rank_of.values())
-        bottoms = [e for e in ids if rank_of[e] == min_rank]
-        tops = [e for e in ids if rank_of[e] == max_rank]
-        self.rank = max_rank
-        self.bottom = bottoms[0] if len(bottoms) == 1 else None
-        self.top = tops[0] if len(tops) == 1 else None
-        self.provenance = dict(provenance) if provenance else {}
+        min_rank = min(self.ranks)
+        self.rank = max(self.ranks)
+        bottoms = [i for i in range(n) if self.ranks[i] == min_rank]
+        tops = [i for i in range(n) if self.ranks[i] == self.rank]
+        self.bottom_face = bottoms[0] if len(bottoms) == 1 else None
+        self.top_face = tops[0] if len(tops) == 1 else None
 
         if check:
-            self._check_invariants(min_rank)
+            first = next(self.violations(), None)
+            if first is not None:
+                raise first
 
     # -- construction checks ------------------------------------------------
 
     def _reachability(self, adjacency):
         """Reflexive-transitive closure as bitmasks; rejects cycles."""
-        n = len(self._ids)
+        n = len(adjacency)
         masks: list[Optional[int]] = [None] * n
         on_stack = [False] * n
         for start in range(n):
@@ -126,116 +130,142 @@ class PolytopePoset:
                     stack.pop()
         return tuple(masks)
 
-    def _check_invariants(self, min_rank):
-        for a, b in self.covers:
-            if self._rank_of[b] != self._rank_of[a] + 1:
-                raise NotGraded(
-                    f"cover ({a!r}, {b!r}) does not raise rank by exactly 1"
-                )
-        if min_rank != -1:
-            raise NotBounded("minimal rank must be -1")
-        if self.bottom is None:
-            raise NotBounded("more than one element of minimal rank")
-        if self.top is None:
-            raise NotBounded("more than one element of maximal rank")
-        bi = self._index[self.bottom]
-        ti = self._index[self.top]
-        full = (1 << len(self._ids)) - 1
-        if self._up[bi] != full or self._down[ti] != full:
-            raise NotBounded("not every element lies between bottom and top")
-        for i, eid in enumerate(self._ids):
-            if eid != self.bottom and not self._lower_covers[i]:
-                raise NotGraded(f"element {eid!r} has no lower cover")
-            if eid != self.top and not self._upper_covers[i]:
-                raise NotGraded(f"element {eid!r} has no upper cover")
+    def violations(self) -> Iterator[PolytopeError]:
+        """The structural defects, in the order the constructor checks them:
+        covers that do not raise rank by one (NotGraded), then at most one
+        boundedness defect (NotBounded), then faces above rank -1 without a
+        lower cover or below the top rank without an upper cover (NotGraded).
+        ``verify_polytope`` reads its bounded and graded verdicts from here."""
+        labels, ranks = self.labels, self.ranks
+        for a, ups in enumerate(self.upper):
+            for b in ups:
+                if ranks[b] != ranks[a] + 1:
+                    yield NotGraded(
+                        f"cover ({labels[a]!r}, {labels[b]!r}) does not raise rank by exactly 1"
+                    )
+        full = (1 << len(labels)) - 1
+        if min(ranks) != -1:
+            yield NotBounded("minimal rank must be -1")
+        elif self.bottom_face is None:
+            yield NotBounded("more than one element of minimal rank")
+        elif self.top_face is None:
+            yield NotBounded("more than one element of maximal rank")
+        elif self.above[self.bottom_face] != full or self.below[self.top_face] != full:
+            yield NotBounded("not every element lies between bottom and top")
+        for i, rk in enumerate(ranks):
+            if rk > -1 and not self.lower[i]:
+                yield NotGraded(f"element {labels[i]!r} has no lower cover")
+            if rk < self.rank and not self.upper[i]:
+                yield NotGraded(f"element {labels[i]!r} has no upper cover")
 
-    # -- basic queries -------------------------------------------------------
+    # -- faces ----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self.labels)
 
-    def element_ids(self) -> tuple[str, ...]:
-        return self._ids
+    def faces_of_rank(self, rk: int) -> list[int]:
+        return [i for i, r in enumerate(self.ranks) if r == rk]
 
-    def rank_of(self, eid: str) -> int:
+    # -- label API --------------------------------------------------------------
+
+    def face(self, eid: str) -> int:
         try:
-            return self._rank_of[eid]
+            return self._index[eid]
         except KeyError:
             raise UnknownId(f"unknown element id {eid!r}") from None
 
+    @property
+    def bottom(self) -> Optional[str]:
+        return None if self.bottom_face is None else self.labels[self.bottom_face]
+
+    @property
+    def top(self) -> Optional[str]:
+        return None if self.top_face is None else self.labels[self.top_face]
+
+    @property
+    def covers(self) -> frozenset[tuple[str, str]]:
+        return frozenset(_label_covers(self))
+
+    def element_ids(self) -> tuple[str, ...]:
+        return self.labels
+
+    def rank_of(self, eid: str) -> int:
+        return self.ranks[self.face(eid)]
+
     def elements(self) -> list[tuple[str, int]]:
-        return [(eid, self._rank_of[eid]) for eid in self._ids]
+        return list(zip(self.labels, self.ranks))
 
     def elements_of_rank(self, rk: int) -> list[str]:
-        return [eid for eid in self._ids if self._rank_of[eid] == rk]
+        return [self.labels[i] for i in self.faces_of_rank(rk)]
 
     def less_eq(self, a: str, b: str) -> bool:
-        if a not in self._index:
-            raise UnknownId(f"unknown element id {a!r}")
-        if b not in self._index:
-            raise UnknownId(f"unknown element id {b!r}")
-        return bool(self._up[self._index[a]] >> self._index[b] & 1)
+        return bool(self.above[self.face(a)] >> self.face(b) & 1)
 
     def upper_covers(self, eid: str) -> list[str]:
-        return [self._ids[j] for j in self._upper_covers[self._index[eid]]]
-
-    def lower_covers(self, eid: str) -> list[str]:
-        return [self._ids[j] for j in self._lower_covers[self._index[eid]]]
+        return [self.labels[j] for j in self.upper[self.face(eid)]]
 
     def up_mask(self, eid: str) -> int:
-        return self._up[self._index[eid]]
-
-    def down_mask(self, eid: str) -> int:
-        return self._down[self._index[eid]]
+        return self.above[self.face(eid)]
 
 
-class Section:
-    """The interval G/F of a polytope, re-ranked so F sits at rank -1."""
-
-    __slots__ = ("carrier",)
-
-    def __init__(self, carrier: PolytopePoset):
-        self.carrier = carrier
+def _label_covers(P: PolytopePoset) -> Iterator[tuple[str, str]]:
+    labels = P.labels
+    for a, ups in enumerate(P.upper):
+        for b in ups:
+            yield labels[a], labels[b]
 
 
-def from_components(elements, covers, provenance=None) -> PolytopePoset:
-    """Build a poset from (id, rank) pairs and cover pairs, checking the
-    structural invariants (unique bounds, gradedness, acyclicity)."""
-    return PolytopePoset(elements, covers, provenance=provenance, check=True)
+def from_components(elements, covers, check=True) -> PolytopePoset:
+    """Build a poset from (id, rank) pairs and (lower id, upper id) cover
+    pairs; repeated covers count once. With ``check`` (the default) the
+    structural invariants (unique bounds, gradedness) are enforced."""
+    elements = list(elements)
+    index = {eid: i for i, (eid, _) in enumerate(elements)}
+    faces = set()
+    for a, b in covers:
+        if a not in index or b not in index:
+            raise DanglingCover(f"cover ({a!r}, {b!r}) references unknown id")
+        faces.add((index[a], index[b]))
+    return PolytopePoset(
+        [eid for eid, _ in elements], [rk for _, rk in elements], faces, check=check
+    )
 
 
 def less_eq(P: PolytopePoset, a: str, b: str) -> bool:
     return P.less_eq(a, b)
 
 
-def section(P: PolytopePoset, F: str, G: str) -> Section:
-    if not P.less_eq(F, G):
-        raise NotComparable(f"{F!r} is not below {G!r}")
-    shift = P.rank_of(F) + 1
-    member = P.up_mask(F) & P.down_mask(G)
-    ids = P.element_ids()
-    keep = {ids[i] for i in _bits(member)}
-    elements = [(eid, P.rank_of(eid) - shift) for eid in ids if eid in keep]
-    covers = [(a, b) for a, b in P.covers if a in keep and b in keep]
-    return Section(PolytopePoset(elements, covers, check=True))
+def section(P: PolytopePoset, F: int, G: int) -> PolytopePoset:
+    """The interval G/F between faces F <= G, re-ranked so F sits at rank -1.
+    Its faces keep their order and labels."""
+    if not P.above[F] >> G & 1:
+        raise NotComparable(f"{P.labels[F]!r} is not below {P.labels[G]!r}")
+    shift = P.ranks[F] + 1
+    keep = list(_bits(P.above[F] & P.below[G]))
+    new = {f: i for i, f in enumerate(keep)}
+    covers = [(new[a], new[b]) for a in keep for b in P.upper[a] if b in new]
+    return PolytopePoset(
+        [P.labels[f] for f in keep], [P.ranks[f] - shift for f in keep], covers
+    )
 
 
 def flags(P: PolytopePoset) -> list[tuple[str, ...]]:
     """All maximal chains from bottom to top, in lexicographic id order."""
+    labels = P.labels
     out: list[tuple[str, ...]] = []
-    chain = [P.bottom]
+    chain = [P.bottom_face]
 
-    def extend(eid: str) -> None:
-        ups = sorted(P.upper_covers(eid))
+    def extend(f: int) -> None:
+        ups = sorted(P.upper[f], key=labels.__getitem__)
         if not ups:
-            out.append(tuple(chain))
+            out.append(tuple(labels[g] for g in chain))
             return
         for nxt in ups:
             chain.append(nxt)
             extend(nxt)
             chain.pop()
 
-    extend(P.bottom)
+    extend(P.bottom_face)
     return out
 
 
@@ -243,13 +273,12 @@ def flags(P: PolytopePoset) -> list[tuple[str, ...]]:
 
 
 def _signature(P: PolytopePoset, i: int) -> tuple[int, int, int, int, int]:
-    eid = P._ids[i]
     return (
-        P._rank_of[eid],
-        len(P._lower_covers[i]),
-        len(P._upper_covers[i]),
-        P._down[i].bit_count(),
-        P._up[i].bit_count(),
+        P.ranks[i],
+        len(P.lower[i]),
+        len(P.upper[i]),
+        P.below[i].bit_count(),
+        P.above[i].bit_count(),
     )
 
 
@@ -267,31 +296,32 @@ def order_isomorphisms(
     P: PolytopePoset,
     Q: PolytopePoset,
     max_elements: int = DEFAULT_SEARCH_CAP,
-    pins: Optional[dict[str, str]] = None,
-) -> Iterator[dict[str, str]]:
-    """Yield every order- and rank-preserving bijection P -> Q.
+    pins: Optional[dict[int, int]] = None,
+) -> Iterator[tuple[int, ...]]:
+    """Yield every order- and rank-preserving bijection P -> Q, as the tuple
+    of the images of P's faces.
 
-    ``pins`` maps elements of P to the images they must have in Q; only the
-    bijections that agree with it are yielded. Each pinned element's domain
+    ``pins`` maps faces of P to the faces of Q they must map to; only the
+    bijections that agree with it are yielded. Each pinned face's domain
     shrinks to its one image, so pinning a flag prefix of P asks whether
     that partial map extends, the query the automorphism stabilizer chain
     is built from.
 
-    Method: backtracking over elements. An element's domain starts as the
-    elements of Q with its signature (rank, cover degrees, down-set and
-    up-set sizes). Assigning F -> G narrows the live candidates of every
-    unassigned cover-neighbour of F to the matching cover-neighbours of G,
-    so a completed assignment maps every cover of P onto a cover of Q. It
-    is then an order isomorphism: it is injective on covers and both posets
-    have the same number of covers, since their signature multisets agree.
+    Method: backtracking over faces. A face's domain starts as the faces of
+    Q with its signature (rank, cover degrees, down-set and up-set sizes).
+    Assigning F -> G narrows the live candidates of every unassigned
+    cover-neighbour of F to the matching cover-neighbours of G, so a
+    completed assignment maps every cover of P onto a cover of Q. It is then
+    an order isomorphism: it is injective on covers and both posets have the
+    same number of covers, since their signature multisets agree.
 
-    The next element comes from a queue of cover-neighbours of assigned
-    elements that were left with at most one live candidate (forced, or a
-    dead end to back out of). Only when the queue runs dry, at a true
-    branch point, are the unassigned elements scanned for the fewest live
-    candidates. In a polytope the images of a flag force every other face
-    (diamond condition plus strong flag connectivity), so a search with a
-    flag pinned takes no branch at all.
+    The next face comes from a queue of cover-neighbours of assigned faces
+    that were left with at most one live candidate (forced, or a dead end to
+    back out of). Only when the queue runs dry, at a true branch point, are
+    the unassigned faces scanned for the fewest live candidates. In a
+    polytope the images of a flag force every other face (diamond condition
+    plus strong flag connectivity), so a search with a flag pinned takes no
+    branch at all.
     """
     n = len(P)
     if len(Q) != n:
@@ -309,18 +339,17 @@ def order_isomorphisms(
     for j, s in enumerate(sig_q):
         sig_mask[s] = sig_mask.get(s, 0) | (1 << j)
     live = [sig_mask[s] for s in sig_p]
-    for a, b in (pins or {}).items():
-        i = P._index[a]
-        live[i] &= 1 << Q._index[b]
+    for i, j in (pins or {}).items():
+        live[i] &= 1 << j
         if not live[i]:
             return
 
-    up_p, down_p = P._upper_covers, P._lower_covers
-    up_q, down_q = _cover_masks(Q._upper_covers), _cover_masks(Q._lower_covers)
+    up_p, down_p = P.upper, P.lower
+    up_q, down_q = _cover_masks(Q.upper), _cover_masks(Q.lower)
     mapping = [-1] * n
     used = 0
-    trail: list[tuple[int, int]] = []  # (element, live mask before narrowing)
-    assigned: list[tuple[int, int, int]] = []  # (element, len(trail), len(queue))
+    trail: list[tuple[int, int]] = []  # (face, live mask before narrowing)
+    assigned: list[tuple[int, int, int]] = []  # (face, len(trail), len(queue))
     queue = [i for i in range(n) if live[i].bit_count() == 1]
     head = 0
 
@@ -371,8 +400,8 @@ def order_isomorphisms(
             live[a] = old
         del queue[queued:]
 
-    # frames: [element index, candidate list, next candidate position,
-    #          queue head before the element was selected]
+    # frames: [face, candidate list, next candidate position,
+    #          queue head before the face was selected]
     first = select()
     stack = [[first, candidates(first), 0, 0]]
     while stack:
@@ -387,7 +416,7 @@ def order_isomorphisms(
         frame[2] = pos + 1
         assign(i, cands[pos])
         if len(assigned) == n:
-            yield {P._ids[a]: Q._ids[mapping[a]] for a in range(n)}
+            yield tuple(mapping)
         else:
             head_before = head
             nxt = select()
@@ -399,8 +428,11 @@ def is_isomorphic(
     Q: PolytopePoset,
     max_elements: int = DEFAULT_SEARCH_CAP,
 ) -> Optional[dict[str, str]]:
-    """A rank- and order-preserving bijection P -> Q, or None."""
-    return next(order_isomorphisms(P, Q, max_elements=max_elements), None)
+    """A rank- and order-preserving bijection P -> Q as a dict of ids, or None."""
+    hit = next(order_isomorphisms(P, Q, max_elements=max_elements), None)
+    if hit is None:
+        return None
+    return {P.labels[i]: Q.labels[j] for i, j in enumerate(hit)}
 
 
 # -- atoms --------------------------------------------------------------------
@@ -408,14 +440,13 @@ def is_isomorphic(
 
 def point() -> PolytopePoset:
     """The unique rank-0 polytope pt."""
-    return from_components([("0", -1), ("1", 0)], [("0", "1")])
+    return PolytopePoset(("0", "1"), (-1, 0), [(0, 1)])
 
 
 def edge() -> PolytopePoset:
     """The unique rank-1 polytope I (two vertices under one edge)."""
-    return from_components(
-        [("0", -1), ("a", 0), ("b", 0), ("1", 1)],
-        [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")],
+    return PolytopePoset(
+        ("0", "a", "b", "1"), (-1, 0, 0, 1), [(0, 1), (0, 2), (1, 3), (2, 3)]
     )
 
 
@@ -425,28 +456,45 @@ def edge() -> PolytopePoset:
 def to_json(P: PolytopePoset) -> dict:
     return {
         "rank": P.rank,
-        "elements": [{"id": eid, "rank": rk} for eid, rk in P.elements()],
-        "covers": sorted([a, b] for a, b in P.covers),
+        "elements": [{"id": eid, "rank": rk} for eid, rk in zip(P.labels, P.ranks)],
+        "covers": sorted([a, b] for a, b in _label_covers(P)),
     }
 
 
+_SCALAR = (str, int, float)
+
+
 def from_json(data: dict, check: bool = True) -> PolytopePoset:
-    elements = [(e["id"], e["rank"]) for e in data["elements"]]
-    covers = [(a, b) for a, b in data["covers"]]
-    return PolytopePoset(elements, covers, check=check)
+    """The poset ``to_json`` wrote. ParseError when ``data`` lacks the
+    elements or covers list, an element its id or integer rank, or a cover
+    is not a pair of ids (strings or numbers)."""
+    try:
+        elements = [(e["id"], e["rank"]) for e in data["elements"]]
+        covers = [(a, b) for a, b in data["covers"]]
+    except KeyError as exc:
+        raise ParseError(f"missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed poset: {exc}") from None
+    if not all(isinstance(eid, _SCALAR) and type(rk) is int for eid, rk in elements):
+        raise ParseError("element ids must be strings or numbers, ranks integers")
+    if not all(isinstance(x, _SCALAR) for cover in covers for x in cover):
+        raise ParseError("covers must be pairs of element ids")
+    return from_components(elements, covers, check=check)
 
 
 def to_dot(P: PolytopePoset) -> str:
+    # ids go inside DOT's double-quoted strings, where \ and " must be escaped
+    name = {eid: str(eid).replace("\\", "\\\\").replace('"', '\\"') for eid in P.labels}
     lines = ["digraph poset {", "  rankdir=BT;"]
-    for eid, rk in P.elements():
-        lines.append(f'  "{eid}" [label="{eid}:{rk}"];')
+    for eid, rk in zip(P.labels, P.ranks):
+        lines.append(f'  "{name[eid]}" [label="{name[eid]}:{rk}"];')
     by_rank: dict[int, list[str]] = {}
-    for eid, rk in P.elements():
+    for eid, rk in zip(P.labels, P.ranks):
         by_rank.setdefault(rk, []).append(eid)
     for rk in sorted(by_rank):
-        members = "; ".join(f'"{eid}"' for eid in sorted(by_rank[rk]))
+        members = "; ".join(f'"{name[eid]}"' for eid in sorted(by_rank[rk]))
         lines.append(f"  {{ rank=same; {members}; }}")
-    for a, b in sorted(P.covers):
-        lines.append(f'  "{a}" -> "{b}";')
+    for a, b in sorted(_label_covers(P)):
+        lines.append(f'  "{name[a]}" -> "{name[b]}";')
     lines.append("}")
     return "\n".join(lines)

@@ -1,8 +1,16 @@
 """Join and Cartesian product of polytope posets, plus k-fold powers.
 
-Element ids of a product are the serialized pair "(p|q)" of the parent ids,
-and provenance records the pair, so coordinate actions on product faces stay
-recoverable.
+Face layout, for P with n faces and Q with m faces:
+
+* ``join(P, Q)``: the pair (i, j) of faces is face ``i*m + j``.
+* ``cartesian(P, Q)``: face 0 is the shared bottom, and the pair (i, j) of
+  non-bottom faces is face ``1 + pos_P(i)*(m - 1) + pos_Q(j)``, where
+  ``pos`` is a face's position among its poset's non-bottom faces.
+
+Both orders are lexicographic in (i, j), so coordinate actions on product
+faces are index arithmetic on the factors' sizes (see
+``autom.described_generators``). Each face is labelled "(p|q)" with the
+labels p and q of its two factors' faces.
 """
 
 from __future__ import annotations
@@ -13,59 +21,44 @@ from .poset import PolytopePoset
 JOIN = "join"
 CARTESIAN = "cartesian"
 
-
-def pair_id(p: str, q: str) -> str:
-    return f"({p}|{q})"
+_label = "({}|{})".format
 
 
 def join(P: PolytopePoset, Q: PolytopePoset) -> PolytopePoset:
     """P * Q: all pairs (F, G), ordered componentwise, rank additive plus 1."""
-    elements = []
-    provenance = {}
-    for p, rp in P.elements():
-        for q, rq in Q.elements():
-            eid = pair_id(p, q)
-            elements.append((eid, rp + rq + 1))
-            provenance[eid] = (p, q)
-    covers = []
-    q_ids = Q.element_ids()
-    p_ids = P.element_ids()
-    for a, b in P.covers:
-        for q in q_ids:
-            covers.append((pair_id(a, q), pair_id(b, q)))
-    for a, b in Q.covers:
-        for p in p_ids:
-            covers.append((pair_id(p, a), pair_id(p, b)))
-    return PolytopePoset(elements, covers, provenance=provenance)
+    n, m = len(P), len(Q)
+    labels = [_label(p, q) for p in P.labels for q in Q.labels]
+    ranks = [rp + rq + 1 for rp in P.ranks for rq in Q.ranks]
+    covers = [
+        (a * m + j, b * m + j) for a, ups in enumerate(P.upper) for b in ups for j in range(m)
+    ]
+    covers += [
+        (i * m + a, i * m + b) for i in range(n) for a, ups in enumerate(Q.upper) for b in ups
+    ]
+    return PolytopePoset(labels, ranks, covers)
 
 
 def cartesian(P: PolytopePoset, Q: PolytopePoset) -> PolytopePoset:
     """P x Q: pairs of faces of rank >= 0 plus one joint bottom, rank additive."""
-    bottom = pair_id(P.bottom, Q.bottom)
-    elements = [(bottom, -1)]
-    provenance = {bottom: (P.bottom, Q.bottom)}
-    proper_p = [(p, rp) for p, rp in P.elements() if rp >= 0]
-    proper_q = [(q, rq) for q, rq in Q.elements() if rq >= 0]
-    for p, rp in proper_p:
-        for q, rq in proper_q:
-            eid = pair_id(p, q)
-            elements.append((eid, rp + rq))
-            provenance[eid] = (p, q)
-    covers = []
-    for v in P.elements_of_rank(0):
-        for w in Q.elements_of_rank(0):
-            covers.append((bottom, pair_id(v, w)))
-    q_kept = [q for q, _ in proper_q]
-    p_kept = [p for p, _ in proper_p]
-    for a, b in P.covers:
-        if P.rank_of(a) >= 0:
-            for q in q_kept:
-                covers.append((pair_id(a, q), pair_id(b, q)))
-    for a, b in Q.covers:
-        if Q.rank_of(a) >= 0:
-            for p in p_kept:
-                covers.append((pair_id(p, a), pair_id(p, b)))
-    return PolytopePoset(elements, covers, provenance=provenance)
+    bp, bq = P.bottom_face, Q.bottom_face
+    proper_p = [i for i in range(len(P)) if i != bp]
+    proper_q = [j for j in range(len(Q)) if j != bq]
+    m = len(proper_q)
+    # row[i]: face (i, j) is row[i] + pos_Q(j); pos_q[j] = pos_Q(j)
+    row = {i: 1 + k * m for k, i in enumerate(proper_p)}
+    pos_q = {j: k for k, j in enumerate(proper_q)}
+
+    labels = [_label(P.labels[bp], Q.labels[bq])]
+    labels += [_label(P.labels[i], Q.labels[j]) for i in proper_p for j in proper_q]
+    ranks = [-1] + [P.ranks[i] + Q.ranks[j] for i in proper_p for j in proper_q]
+    covers = [(0, row[v] + pos_q[w]) for v in P.faces_of_rank(0) for w in Q.faces_of_rank(0)]
+    for a in proper_p:
+        for b in P.upper[a]:
+            covers += [(row[a] + k, row[b] + k) for k in range(m)]
+    for a in proper_q:
+        for b in Q.upper[a]:
+            covers += [(row[i] + pos_q[a], row[i] + pos_q[b]) for i in proper_p]
+    return PolytopePoset(labels, ranks, covers)
 
 
 def power(P: PolytopePoset, op: str, k: int) -> PolytopePoset:

@@ -17,31 +17,29 @@ from .poset import (
 from .products import cartesian, join
 
 
-def pyramid_apex_candidates(P: PolytopePoset) -> list[str]:
-    """Vertices sharing an edge with every other vertex.
+def pyramid_apex_candidates(P: PolytopePoset) -> list[int]:
+    """Vertices (faces of rank 0) sharing an edge with every other vertex.
 
     Every pyramid apex has this property, so an empty list certifies that P
     is not a pyramid.
     """
-    vertices = P.elements_of_rank(0)
-    edges = P.elements_of_rank(1)
-    adjacent: dict[str, set[str]] = {v: {v} for v in vertices}
-    for e in edges:
-        under = [v for v in P.lower_covers(e)]
+    vertices = P.faces_of_rank(0)
+    adjacent: dict[int, set[int]] = {v: {v} for v in vertices}
+    for e in P.faces_of_rank(1):
+        under = P.lower[e]
         for v in under:
             adjacent[v].update(under)
     return [v0 for v0 in vertices if len(adjacent[v0]) == len(vertices)]
 
 
-def _subposet_avoiding(P: PolytopePoset, v: str) -> Optional[PolytopePoset]:
-    """The induced poset on elements not above v, or None if it fails the
+def _subposet_avoiding(P: PolytopePoset, v: int) -> Optional[PolytopePoset]:
+    """The induced poset on the faces not above v, or None if it fails the
     structural invariants (e.g. it has several maximal elements)."""
-    keep = [eid for eid in P.element_ids() if not P.less_eq(v, eid)]
-    keep_set = set(keep)
-    elements = [(eid, P.rank_of(eid)) for eid in keep]
-    covers = [(a, b) for a, b in P.covers if a in keep_set and b in keep_set]
+    keep = [f for f in range(len(P)) if not P.above[v] >> f & 1]
+    new = {f: i for i, f in enumerate(keep)}
+    covers = [(new[a], new[b]) for a in keep for b in P.upper[a] if b in new]
     try:
-        return PolytopePoset(elements, covers)
+        return PolytopePoset([P.labels[f] for f in keep], [P.ranks[f] for f in keep], covers)
     except PolytopeError:
         return None
 
@@ -76,8 +74,8 @@ def prism_decompose(
     """
     if P.rank < 1:
         return None
-    for facet in P.elements_of_rank(P.rank - 1):
-        candidate = section(P, P.bottom, facet).carrier
+    for facet in P.faces_of_rank(P.rank - 1):
+        candidate = section(P, P.bottom_face, facet)
         if is_isomorphic(cartesian(candidate, edge()), P, max_elements=max_elements):
             return candidate
     return None

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import NotBounded, NotGraded
 from .poset import PolytopePoset, _bits
 
 MAX_VIOLATIONS = 20
@@ -38,48 +39,25 @@ class ValidityReport:
         return {"is_polytope": self.is_polytope, "failures": failures}
 
 
-def _check_bounded(P: PolytopePoset) -> bool:
-    ranks = [rk for _, rk in P.elements()]
-    if min(ranks) != -1:
-        return False
-    if sum(1 for rk in ranks if rk == -1) != 1 or P.bottom is None:
-        return False
-    if sum(1 for rk in ranks if rk == P.rank) != 1 or P.top is None:
-        return False
-    full = (1 << len(P)) - 1
-    return P.up_mask(P.bottom) == full and P.down_mask(P.top) == full
-
-
-def _check_graded(P: PolytopePoset) -> bool:
-    for a, b in P.covers:
-        if P.rank_of(b) != P.rank_of(a) + 1:
-            return False
-    for eid, rk in P.elements():
-        if rk > -1 and not P.lower_covers(eid):
-            return False
-        if rk < P.rank and not P.upper_covers(eid):
-            return False
-    return True
-
-
 def verify_polytope(P: PolytopePoset, max_violations: int = MAX_VIOLATIONS) -> ValidityReport:
     """Check the four polytope axioms on any ranked poset.
 
-    The diamond check covers every interval of rank difference 2; the
-    connectivity check walks the comparability graph of proper elements of
-    every section of rank difference at least 3 (smaller sections are exempt
-    by definition).
+    Boundedness and gradedness are read from ``P.violations()``, the checks
+    the constructor enforces. The diamond check covers every interval of
+    rank difference 2; the connectivity check walks the comparability graph
+    of proper elements of every section of rank difference at least 3
+    (smaller sections are exempt by definition).
     """
-    bounded = _check_bounded(P)
-    graded = _check_graded(P)
+    found = {type(v) for v in P.violations()}
+    bounded = NotBounded not in found
+    graded = NotGraded not in found
 
-    ids = P.element_ids()
+    ids = P.labels
     by_rank: dict[int, list[int]] = {}
-    for i, eid in enumerate(ids):
-        by_rank.setdefault(P.rank_of(eid), []).append(i)
+    for i, rk in enumerate(P.ranks):
+        by_rank.setdefault(rk, []).append(i)
 
-    up = [P.up_mask(eid) for eid in ids]
-    down = [P.down_mask(eid) for eid in ids]
+    up, down = P.above, P.below
 
     diamond_violations = []
     for rf in sorted(by_rank):

@@ -11,7 +11,7 @@ from polyprod.autom import closure, described_generators
 from polyprod.cli import main
 from polyprod.expr import Atom, Cart, CartPow, Join, JoinPow
 from polyprod.groups import DirectProduct, Hyp, Sym
-from polyprod.poset import PolytopePoset
+from polyprod.poset import from_components
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ def test_criterion_2_worked_example(capsys):
     d = family.aut_descriptor(node)
     assert groups.equal(d, DirectProduct((Sym(3), Hyp(3), Sym(2))))
     assert groups.order(d) == 576
-    times_child, join_child = family.children(node, max_elements=None)
+    times_child, join_child = family.children(node)
     assert groups.order(family.aut_descriptor(times_child)) == 1152
     dj = family.aut_descriptor(join_child)
     assert groups.equal(dj, DirectProduct((Sym(3), Hyp(3), Sym(3))))
@@ -114,7 +114,7 @@ def test_criterion_5_axiom_verifier(family_nodes, small_corpus):
         for cover in sorted(P.covers):
             covers = set(P.covers)
             covers.remove(cover)
-            mutated = PolytopePoset(P.elements(), covers, check=False)
+            mutated = from_components(P.elements(), covers, check=False)
             assert not pp.verify_polytope(mutated).is_polytope, cover
     print("ACCEPTANCE 5: PASS (verifier on 32 products, 31 nodes, 78 mutations)")
 

@@ -7,7 +7,7 @@ import polyprod as pp
 from polyprod import family, groups
 from polyprod.autom import FacePermutation, closure, described_generators, identity
 from polyprod.errors import ClosureBudgetExceeded
-from polyprod.poset import PolytopePoset, SearchBudgetExceeded, order_isomorphisms
+from polyprod.poset import SearchBudgetExceeded, from_components, order_isomorphisms
 
 from oracles import naive_automorphism_count
 
@@ -139,10 +139,10 @@ def _square_mutants(square):
     out = []
     for cover in sorted(square.covers):
         covers = set(square.covers) - {cover}
-        out.append(PolytopePoset(square.elements(), covers, check=False))
+        out.append(from_components(square.elements(), covers, check=False))
     bottomless = [(e, r) for e, r in square.elements() if r >= 0]
     covers = [(a, b) for a, b in square.covers if a != square.bottom]
-    out.append(PolytopePoset(bottomless, covers, check=False))
+    out.append(from_components(bottomless, covers, check=False))
     out.append(_double_edge())
     return out
 
@@ -159,7 +159,7 @@ def _double_edge():
     elements += [(e, 1) for e in edges] + [("1", 2)]
     covers = [("0", v) for v in vertices] + [(e, "1") for e in edges]
     covers += [(v, e) for e, ends in edges.items() for v in ends]
-    return PolytopePoset(elements, covers)
+    return from_components(elements, covers)
 
 
 def test_aut_order_exact_off_polytopes(square):
@@ -171,13 +171,13 @@ def test_aut_order_exact_off_polytopes(square):
 
 
 def test_pinned_search(square):
-    vertex = square.elements_of_rank(0)[0]
+    vertex = square.faces_of_rank(0)[0]
     fixing = list(order_isomorphisms(square, square, pins={vertex: vertex}))
     assert len(fixing) == 2
     assert all(m[vertex] == vertex for m in fixing)
     # an edge cannot be the image of a vertex
-    edge_id = square.elements_of_rank(1)[0]
-    assert list(order_isomorphisms(square, square, pins={vertex: edge_id})) == []
+    edge_face = square.faces_of_rank(1)[0]
+    assert list(order_isomorphisms(square, square, pins={vertex: edge_face})) == []
 
 
 def test_closure_rejects_non_automorphism(square):

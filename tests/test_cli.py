@@ -1,8 +1,14 @@
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 import polyprod as pp
 import polyprod.poset as poset
 from polyprod.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_build_json(capsys):
@@ -53,6 +59,65 @@ def test_verify_round_trip_file(tmp_path, capsys):
     assert main(["verify", "--json", str(f)]) == 0
 
 
+# malformed --json files: unreadable input is a parse error (exit 2), a poset
+# the constructor rejects is an invalid poset (exit 1), never a traceback
+
+_ELEMENTS = [{"id": "0", "rank": -1}, {"id": "a", "rank": 0}]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"rank": 0, "elements": [{"id": "0", "rank": -1}', "Expecting"),  # truncated
+        (json.dumps({"elements": _ELEMENTS}), "missing field 'covers'"),
+        (json.dumps({"elements": [{"id": "0"}], "covers": []}), "missing field 'rank'"),
+        (json.dumps({"elements": [{"id": "0", "rank": "low"}], "covers": []}), "integers"),
+    ],
+    ids=["not-json", "no-covers", "no-rank", "rank-not-integer"],
+)
+def test_verify_json_file_unparsable(tmp_path, capsys, text, message):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    assert main(["verify", "--json", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "elements, covers, error",
+    [
+        (_ELEMENTS, [["0", "a"], ["a", "0"]], "cover relation contains a cycle"),
+        (_ELEMENTS, [["0", "x"]], "cover ('0', 'x') references unknown id"),
+        (_ELEMENTS + [{"id": "a", "rank": 0}], [], "duplicate element id 'a'"),
+        ([], [], "poset has no elements"),
+    ],
+    ids=["cycle", "dangling-cover", "duplicate-id", "empty"],
+)
+def test_verify_json_file_rejected_structure(tmp_path, capsys, elements, covers, error):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"rank": 0, "elements": elements, "covers": covers}))
+    assert main(["verify", "--json", str(f)]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"is_polytope": False, "failures": [{"check": "structure", "error": error}]}
+
+
+def test_build_golden_json_and_dot(capsys):
+    """Byte-exact build output for the triangular prism, recorded before
+    faces became indices."""
+    assert main(["build", "(I*pt)xI"]) == 0
+    assert capsys.readouterr().out == (DATA / "tri_prism.json").read_text()
+    assert main(["build", "(I*pt)xI", "--out", "dot"]) == 0
+    assert capsys.readouterr().out == (DATA / "tri_prism.dot").read_text()
+
+
+def test_build_golden_worked_example(capsys):
+    assert main(["build", "((I*pt)x(I^x3))*(pt^*2)"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "16a6dc2dd5be548afd0b8c49115304706f42789bbe5daa505115a0deaa098366"
+
+
 def test_aut_formula(capsys):
     assert main(["aut", "((I*pt)x(I^x3))*(pt^*2)", "--method", "formula"]) == 0
     out = capsys.readouterr().out
@@ -93,6 +158,11 @@ def test_exit_code_formula_on_non_family(capsys):
 
 def test_exit_code_budget(capsys):
     assert main(["build", "I^x9"]) == 4
+
+
+def test_exit_code_closure_budget(capsys):
+    assert main(["--max-closure", "10", "aut", "I^x3", "--method", "generators"]) == 4
+    assert capsys.readouterr().err == "budget exceeded: closure exceeds the cap of 10\n"
 
 
 def test_decompose_pyramid(capsys):

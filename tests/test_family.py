@@ -1,6 +1,7 @@
 import polyprod as pp
 from polyprod import family, groups
 from polyprod.groups import DirectProduct, Hyp, Sym
+from polyprod.poset import PolytopePoset
 
 
 def test_root_state():
@@ -70,12 +71,15 @@ def test_rank_matches_path_length():
     for steps in range(4):
         for node in family.enumerate_family(steps):
             assert node.polytope.rank == 1 + len(node.path)
-            assert len(node.polytope) == node.n_elements
+            size = 4
+            for step in node.path:
+                size = (size - 1) * 3 + 1 if step == "xI" else size * 2
+            assert len(node.polytope) == size
 
 
 def test_k_equals_trailing_run():
     for steps in range(5):
-        for node in family.enumerate_family(steps, max_elements=None):
+        for node in family.enumerate_family(steps):
             if not node.path:
                 assert node.k == 1
                 continue
@@ -93,21 +97,37 @@ def test_k_equals_trailing_run():
                 assert node.k == run
 
 
-def test_polytope_elided_beyond_cap():
-    nodes = family.enumerate_family(6, max_elements=100)
-    assert any(n.polytope is None for n in nodes)
+def _count_builds(monkeypatch) -> list:
+    built = []
+    init = PolytopePoset.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(len(args[0]))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolytopePoset, "__init__", counting)
+    return built
+
+
+def test_polytopes_built_lazily(monkeypatch):
+    built = _count_builds(monkeypatch)
+    nodes = family.enumerate_family(6)
+    assert len(nodes) == 64
     for n in nodes:
-        if n.polytope is not None:
-            assert len(n.polytope) == n.n_elements <= 100
-        # symbolic state survives elision
-        d = family.aut_descriptor(n)
-        assert groups.order(d) >= 1
+        assert groups.order(family.aut_descriptor(n)) >= 1
+        family.node_to_json(n)
+    assert built == []
+    node = nodes[-1]  # I * pt^*6
+    assert len(node.polytope) == 4 * 2**6
+    assert node.polytope is node.polytope
+    assert built and built[-1] == 4 * 2**6
 
 
-def test_descriptors_deep_without_polytopes():
-    node = family.node_for_path(["xI"] * 12, max_elements=50)
-    assert node.polytope is None
+def test_descriptors_deep_without_polytopes(monkeypatch):
+    built = _count_builds(monkeypatch)
+    node = family.node_for_path(["xI"] * 12)
     assert family.aut_descriptor(node) == Hyp(13)
+    assert built == []
 
 
 def test_node_json():

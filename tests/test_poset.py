@@ -83,30 +83,30 @@ def test_less_eq_matches_bfs(small_corpus):
 
 
 def test_full_section_is_whole_poset(square):
-    S = pp.section(square, square.bottom, square.top)
-    assert pp.is_isomorphic(S.carrier, square) is not None
+    S = pp.section(square, square.bottom_face, square.top_face)
+    assert pp.is_isomorphic(S, square) is not None
 
 
 def test_section_of_square_edge_is_I(square, seg):
-    e = square.elements_of_rank(1)[0]
-    expected = sorted(naive_interval(square, square.bottom, e))
-    S = pp.section(square, square.bottom, e)
-    assert sorted(S.carrier.element_ids()) == expected
-    assert S.carrier.rank == 1
-    assert pp.is_isomorphic(S.carrier, seg) is not None
+    e = square.faces_of_rank(1)[0]
+    expected = sorted(naive_interval(square, square.bottom, square.labels[e]))
+    S = pp.section(square, square.bottom_face, e)
+    assert sorted(S.element_ids()) == expected
+    assert S.rank == 1
+    assert pp.is_isomorphic(S, seg) is not None
 
 
 def test_cube_vertex_figure_is_triangle(cube, triangle):
-    v = cube.elements_of_rank(0)[0]
-    upper = naive_interval(cube, v, cube.top)
+    v = cube.faces_of_rank(0)[0]
+    upper = naive_interval(cube, cube.labels[v], cube.top)
     assert len(upper) == 8
-    S = pp.section(cube, v, cube.top)
-    assert pp.is_isomorphic(S.carrier, triangle) is not None
+    S = pp.section(cube, v, cube.top_face)
+    assert pp.is_isomorphic(S, triangle) is not None
 
 
 def test_section_requires_comparability(square):
-    v, w = square.elements_of_rank(0)[:2]
-    if square.less_eq(v, w):
+    v, w = square.faces_of_rank(0)[:2]
+    if square.less_eq(square.labels[v], square.labels[w]):
         pytest.skip("vertices unexpectedly comparable")
     with pytest.raises(NotComparable):
         pp.section(square, v, w)
@@ -187,3 +187,14 @@ def test_dot_export(seg):
     assert '"a" [label="a:0"];' in dot
     assert '"0" -> "a";' in dot
     assert "rank=same" in dot
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    P = pp.from_components(
+        [("0", -1), ('say "hi"', 0), ("back\\slash", 0), ("1", 1)],
+        [("0", 'say "hi"'), ("0", "back\\slash"), ('say "hi"', "1"), ("back\\slash", "1")],
+    )
+    dot = poset.to_dot(P)
+    assert '"say \\"hi\\"" [label="say \\"hi\\":0"];' in dot
+    assert '"0" -> "back\\\\slash";' in dot
+    assert '{ rank=same; "back\\\\slash"; "say \\"hi\\""; }' in dot

@@ -70,10 +70,27 @@ def test_power_rejects_nonpositive(seg):
         pp.power(seg, "join", 0)
 
 
-def test_provenance_recorded(square, seg):
-    for eid in square.element_ids():
-        p, q = square.provenance[eid]
-        assert p in seg.element_ids() and q in seg.element_ids()
+def test_product_layout_labels(small_corpus):
+    """Join face (i, j) is i*|Q| + j; Cartesian face 0 is the shared bottom
+    and (i, j) is 1 + pos(i)*(|Q| - 1) + pos(j), pos counting non-bottom
+    faces; each face's label is "(p|q)" of its factors' labels."""
+    factors = [small_corpus[k] for k in ("pt", "I", "triangle", "square")]
+    for P in factors:
+        for Q in factors:
+            J = pp.join(P, Q)
+            for i, p in enumerate(P.labels):
+                for j, q in enumerate(Q.labels):
+                    assert J.labels[i * len(Q) + j] == f"({p}|{q})"
+                    assert J.ranks[i * len(Q) + j] == P.ranks[i] + Q.ranks[j] + 1
+            C = pp.cartesian(P, Q)
+            assert C.labels[0] == f"({P.bottom}|{Q.bottom})"
+            proper_p = [i for i in range(len(P)) if i != P.bottom_face]
+            proper_q = [j for j in range(len(Q)) if j != Q.bottom_face]
+            for a, i in enumerate(proper_p):
+                for b, j in enumerate(proper_q):
+                    face = 1 + a * (len(Q) - 1) + b
+                    assert C.labels[face] == f"({P.labels[i]}|{Q.labels[j]})"
+                    assert C.ranks[face] == P.ranks[i] + Q.ranks[j]
 
 
 def test_count_and_rank_formulas_random_pairs(small_corpus):

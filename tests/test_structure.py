@@ -5,9 +5,7 @@ from polyprod import family, structure
 
 
 def test_triangle_apex_candidates(triangle):
-    assert sorted(pp.pyramid_apex_candidates(triangle)) == sorted(
-        triangle.elements_of_rank(0)
-    )
+    assert sorted(pp.pyramid_apex_candidates(triangle)) == triangle.faces_of_rank(0)
 
 
 def test_square_has_no_apex_candidates(square):
@@ -15,10 +13,11 @@ def test_square_has_no_apex_candidates(square):
 
 
 def test_square_pyramid_apex_listed(square_pyramid, square, pt):
-    # the apex is the pair (bottom of the square, top of pt)
-    apex = f"({square.bottom}|{pt.top})"
-    candidates = pp.pyramid_apex_candidates(square_pyramid)
-    assert apex in candidates
+    # the apex is the pair (bottom of the square, top of pt), which the join
+    # layout puts at face bottom * |pt| + top
+    apex = square.bottom_face * len(pt) + pt.top_face
+    assert square_pyramid.labels[apex] == f"({square.bottom}|{pt.top})"
+    assert apex in pp.pyramid_apex_candidates(square_pyramid)
 
 
 def test_pyramid_decompose_triangle(triangle, seg):
@@ -90,7 +89,7 @@ def test_pyramid_implies_apex_candidates(small_corpus):
 
 def test_subposet_avoiding_degenerate_is_none(square):
     # without one vertex of the square, two edges are left as maximal elements
-    vertex = square.elements_of_rank(0)[0]
+    vertex = square.faces_of_rank(0)[0]
     assert structure._subposet_avoiding(square, vertex) is None
 
 
@@ -100,4 +99,4 @@ def test_subposet_avoiding_propagates_other_errors(square, monkeypatch):
 
     monkeypatch.setattr(structure, "PolytopePoset", broken)
     with pytest.raises(RuntimeError):
-        structure._subposet_avoiding(square, square.elements_of_rank(0)[0])
+        structure._subposet_avoiding(square, square.faces_of_rank(0)[0])

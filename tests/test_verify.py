@@ -1,11 +1,11 @@
 import polyprod as pp
-from polyprod.poset import PolytopePoset
+from polyprod.poset import from_components
 
 
 def _without_cover(P, cover):
     covers = set(P.covers)
     covers.remove(cover)
-    return PolytopePoset(P.elements(), covers, check=False)
+    return from_components(P.elements(), covers, check=False)
 
 
 def test_square_passes(square):
@@ -16,7 +16,7 @@ def test_square_passes(square):
 
 
 def test_single_vertex_rank1_fails_diamond():
-    P = PolytopePoset(
+    P = from_components(
         [("0", -1), ("v", 0), ("1", 1)],
         [("0", "v"), ("v", "1")],
         check=False,
@@ -55,7 +55,7 @@ def test_disconnected_section_detected():
     # two squares glued at bottom and top only: rank-2 middle is fine but the
     # full rank-3 body has no connecting faces; build a compound that breaks
     # connectivity: two disjoint edges between a common bottom and top.
-    P = PolytopePoset(
+    P = from_components(
         [("0", -1), ("v", 0), ("w", 0), ("x", 0), ("y", 0), ("e", 1), ("f", 1), ("1", 2)],
         [
             ("0", "v"), ("0", "w"), ("0", "x"), ("0", "y"),
@@ -69,13 +69,36 @@ def test_disconnected_section_detected():
     assert ("0", "1") in report.connectivity_violations
 
 
+def test_bounded_and_graded_verdicts(square):
+    """verify_polytope reads these from the checker the constructor uses."""
+    no_bottom = from_components(
+        [(e, r) for e, r in square.elements() if r >= 0],
+        [(a, b) for a, b in square.covers if a != square.bottom],
+        check=False,
+    )
+    rank_jump = from_components([("0", -1), ("1", 1)], [("0", "1")], check=False)
+    dangling_top = from_components(
+        [("0", -1), ("v", 0), ("w", 0), ("1", 1)], [("0", "v"), ("0", "w"), ("v", "1")],
+        check=False,
+    )
+    report = pp.verify_polytope(no_bottom)
+    assert not report.bounded
+    assert not report.graded  # the vertices have no lower cover
+    report = pp.verify_polytope(rank_jump)
+    assert report.bounded and not report.graded
+    report = pp.verify_polytope(dangling_top)
+    assert not report.bounded  # w is not below the top
+    assert not report.graded  # and has no upper cover
+    assert pp.verify_polytope(rank_jump).to_json()["failures"][0] == {"check": "graded"}
+
+
 def test_report_json(square):
     data = pp.verify_polytope(square).to_json()
     assert data == {"is_polytope": True, "failures": []}
 
 
 def test_report_json_failures():
-    P = PolytopePoset(
+    P = from_components(
         [("0", -1), ("v", 0), ("1", 1)],
         [("0", "v"), ("v", "1")],
         check=False,
@@ -102,7 +125,7 @@ def test_violation_lists_are_capped():
         + [(f"v{i}", f"e{i}") for i in range(n)]
         + [(f"e{i}", "1") for i in range(n)]
     )
-    P = PolytopePoset(elements, covers, check=False)
+    P = from_components(elements, covers, check=False)
     report = pp.verify_polytope(P)
     assert not report.diamond_ok
     assert len(report.diamond_violations) == 20
