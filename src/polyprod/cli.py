@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import groups, poset
-from .autom import aut_order, closure, described_generators
+from .autom import DEFAULT_CLOSURE_CAP, aut_order, closure, described_generators
 from .errors import BudgetExceeded, ParseError, PolytopeError
 from .expr import eval_expr, expr_to_family, parse_expr
 from .family import aut_descriptor, enumerate_family, node_to_json
@@ -37,8 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build abstract polytopes from construction expressions, "
         "verify the polytope axioms and compute automorphism groups.",
     )
-    parser.add_argument("--max-elements", type=int, default=1000)
-    parser.add_argument("--max-closure", type=int, default=1_000_000)
+    parser.add_argument("--max-elements", type=int, default=poset.DEFAULT_SEARCH_CAP)
+    parser.add_argument("--max-closure", type=int, default=DEFAULT_CLOSURE_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="emit the face lattice")

@@ -237,15 +237,21 @@ def less_eq(P: PolytopePoset, a: str, b: str) -> bool:
 
 def section(P: PolytopePoset, F: int, G: int) -> PolytopePoset:
     """The interval G/F between faces F <= G, re-ranked so F sits at rank -1.
-    Its faces keep their order and labels."""
+    Its faces keep their order and labels; NotComparable unless F <= G."""
     if not P.above[F] >> G & 1:
         raise NotComparable(f"{P.labels[F]!r} is not below {P.labels[G]!r}")
-    shift = P.ranks[F] + 1
-    keep = list(_bits(P.above[F] & P.below[G]))
-    new = {f: i for i, f in enumerate(keep)}
-    covers = [(new[a], new[b]) for a in keep for b in P.upper[a] if b in new]
+    return _induced(P, P.above[F] & P.below[G], P.ranks[F] + 1)
+
+
+def _induced(P: PolytopePoset, keep: int, shift: int) -> PolytopePoset:
+    """The subposet on the faces in the bitmask ``keep``, in ascending order
+    with their labels, P's covers among them and their ranks lowered by
+    ``shift``. The constructor's checks apply."""
+    faces = list(_bits(keep))
+    new = {f: i for i, f in enumerate(faces)}
+    covers = [(new[a], new[b]) for a in faces for b in P.upper[a] if b in new]
     return PolytopePoset(
-        [P.labels[f] for f in keep], [P.ranks[f] - shift for f in keep], covers
+        [P.labels[f] for f in faces], [P.ranks[f] - shift for f in faces], covers
     )
 
 

@@ -1,5 +1,5 @@
 """Pyramid and prism structure: the fast necessary apex test and the
-exhaustive decomposition oracles."""
+exhaustive decomposition oracles, one loop over candidate bases."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from .errors import PolytopeError
 from .poset import (
     DEFAULT_SEARCH_CAP,
     PolytopePoset,
+    _induced,
     edge,
     is_isomorphic,
     point,
@@ -35,11 +36,8 @@ def pyramid_apex_candidates(P: PolytopePoset) -> list[int]:
 def _subposet_avoiding(P: PolytopePoset, v: int) -> Optional[PolytopePoset]:
     """The induced poset on the faces not above v, or None if it fails the
     structural invariants (e.g. it has several maximal elements)."""
-    keep = [f for f in range(len(P)) if not P.above[v] >> f & 1]
-    new = {f: i for i, f in enumerate(keep)}
-    covers = [(new[a], new[b]) for a in keep for b in P.upper[a] if b in new]
     try:
-        return PolytopePoset([P.labels[f] for f in keep], [P.ranks[f] for f in keep], covers)
+        return _induced(P, ((1 << len(P)) - 1) & ~P.above[v], 0)
     except PolytopeError:
         return None
 
@@ -50,18 +48,11 @@ def pyramid_decompose(
     """Some Q with join(Q, pt) isomorphic to P, or None.
 
     Only apex candidates are tried: removing everything above a candidate
-    apex leaves the would-be base, which is rebuilt into a pyramid and
-    compared against P.
+    apex leaves the would-be base (skipped if the constructor rejects it),
+    which is rebuilt into a pyramid of 2|Q| faces and compared against P.
     """
-    if P.rank < 1:
-        return None
-    for v in pyramid_apex_candidates(P):
-        candidate = _subposet_avoiding(P, v)
-        if candidate is None or candidate.rank != P.rank - 1:
-            continue
-        if is_isomorphic(join(candidate, point()), P, max_elements=max_elements):
-            return candidate
-    return None
+    bases = (_subposet_avoiding(P, v) for v in pyramid_apex_candidates(P))
+    return _first_base(P, bases, lambda Q: join(Q, point()), lambda n: 2 * n, max_elements)
 
 
 def prism_decompose(
@@ -69,13 +60,24 @@ def prism_decompose(
 ) -> Optional[PolytopePoset]:
     """Some Q with cartesian(Q, I) isomorphic to P, or None.
 
-    In a prism Q x I a copy of Q sits under a facet, so trying every facet
-    section is exhaustive.
+    In a prism Q x I, of 3|Q| - 2 faces, a copy of Q sits under a facet, so
+    trying every facet section is exhaustive.
     """
+    bases = (section(P, P.bottom_face, f) for f in P.faces_of_rank(P.rank - 1))
+    return _first_base(
+        P, bases, lambda Q: cartesian(Q, edge()), lambda n: 3 * n - 2, max_elements
+    )
+
+
+def _first_base(P, bases, rebuild, size, max_elements) -> Optional[PolytopePoset]:
+    """The first base Q that is not None and whose product ``rebuild(Q)`` is
+    isomorphic to P; None for P of rank below 1. The product is built only
+    when its face count ``size(len(Q))`` equals |P|, since posets of
+    different sizes are never isomorphic."""
     if P.rank < 1:
         return None
-    for facet in P.faces_of_rank(P.rank - 1):
-        candidate = section(P, P.bottom_face, facet)
-        if is_isomorphic(cartesian(candidate, edge()), P, max_elements=max_elements):
-            return candidate
+    for Q in bases:
+        if Q is not None and size(len(Q)) == len(P):
+            if is_isomorphic(rebuild(Q), P, max_elements=max_elements):
+                return Q
     return None

@@ -4,6 +4,8 @@ section connectivity, reported per category."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Container, Iterator
 
 from .errors import NotBounded, NotGraded
 from .poset import PolytopePoset, _bits
@@ -15,10 +17,16 @@ MAX_VIOLATIONS = 20
 class ValidityReport:
     bounded: bool
     graded: bool
-    diamond_ok: bool
-    connected_ok: bool
     diamond_violations: list = field(default_factory=list)
     connectivity_violations: list = field(default_factory=list)
+
+    @property
+    def diamond_ok(self) -> bool:
+        return not self.diamond_violations
+
+    @property
+    def connected_ok(self) -> bool:
+        return not self.connectivity_violations
 
     @property
     def is_polytope(self) -> bool:
@@ -46,68 +54,49 @@ def verify_polytope(P: PolytopePoset, max_violations: int = MAX_VIOLATIONS) -> V
     the constructor enforces. The diamond check covers every interval of
     rank difference 2; the connectivity check walks the comparability graph
     of proper elements of every section of rank difference at least 3
-    (smaller sections are exempt by definition).
+    (smaller sections are exempt by definition). Both visit the comparable
+    pairs F <= G by rank of F, rank of G, F, G, and each keeps its first
+    ``max_violations`` failures, but at least one, since the diamond and
+    connectivity verdicts are read from the lists.
     """
     found = {type(v) for v in P.violations()}
-    bounded = NotBounded not in found
-    graded = NotGraded not in found
+    labels, up, down = P.labels, P.above, P.below
+    comp = [u | d for u, d in zip(up, down)]
+    cap = max(max_violations, 1)
+    diamonds = (
+        (labels[f], labels[g], middle)
+        for f, g in _intervals(P, (2,))
+        if (middle := (up[f] & down[g]).bit_count() - 2) != 2
+    )
+    disconnected = (
+        (labels[f], labels[g])
+        for f, g in _intervals(P, range(3, P.rank - min(P.ranks) + 1))
+        if (proper := up[f] & down[g] & ~(1 << f | 1 << g))
+        and not _mask_connected(comp, proper)
+    )
+    return ValidityReport(
+        bounded=NotBounded not in found,
+        graded=NotGraded not in found,
+        diamond_violations=list(islice(diamonds, cap)),
+        connectivity_violations=list(islice(disconnected, cap)),
+    )
 
-    ids = P.labels
+
+def _intervals(P: PolytopePoset, gaps: Container[int]) -> Iterator[tuple[int, int]]:
+    """The pairs F <= G with rank G - rank F in ``gaps``, by rank of F, then
+    rank of G, then F, then G."""
     by_rank: dict[int, list[int]] = {}
+    rank_mask: dict[int, int] = {}
     for i, rk in enumerate(P.ranks):
         by_rank.setdefault(rk, []).append(i)
-
-    up, down = P.above, P.below
-
-    diamond_violations = []
-    for rf in sorted(by_rank):
-        uppers = by_rank.get(rf + 2, [])
-        if not uppers:
-            continue
-        for fi in by_rank[rf]:
-            for gi in uppers:
-                if not (up[fi] >> gi & 1):
-                    continue
-                middle = (up[fi] & down[gi]).bit_count() - 2
-                if middle != 2:
-                    diamond_violations.append((ids[fi], ids[gi], middle))
-                    if len(diamond_violations) >= max_violations:
-                        break
-            if len(diamond_violations) >= max_violations:
-                break
-        if len(diamond_violations) >= max_violations:
-            break
-
-    connectivity_violations = []
-    comp = [up[i] | down[i] for i in range(len(ids))]
-    for rf in sorted(by_rank):
-        for rg in sorted(by_rank):
-            if rg - rf < 3:
-                continue
-            for fi in by_rank[rf]:
-                for gi in by_rank[rg]:
-                    if not (up[fi] >> gi & 1):
-                        continue
-                    proper = (up[fi] & down[gi]) & ~(1 << fi) & ~(1 << gi)
-                    if proper and not _mask_connected(comp, proper):
-                        connectivity_violations.append((ids[fi], ids[gi]))
-                        if len(connectivity_violations) >= max_violations:
-                            break
-                if len(connectivity_violations) >= max_violations:
-                    break
-            if len(connectivity_violations) >= max_violations:
-                break
-        if len(connectivity_violations) >= max_violations:
-            break
-
-    return ValidityReport(
-        bounded=bounded,
-        graded=graded,
-        diamond_ok=not diamond_violations,
-        connected_ok=not connectivity_violations,
-        diamond_violations=diamond_violations,
-        connectivity_violations=connectivity_violations,
-    )
+        rank_mask[rk] = rank_mask.get(rk, 0) | 1 << i
+    ranks = sorted(by_rank)
+    for rf in ranks:
+        for rg in ranks:
+            if rg - rf in gaps:
+                for f in by_rank[rf]:
+                    for g in _bits(P.above[f] & rank_mask[rg]):
+                        yield f, g
 
 
 def _mask_connected(comp: list[int], members: int) -> bool:

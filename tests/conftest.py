@@ -3,21 +3,6 @@ import pytest
 from polyprod import cartesian, edge, join, point, power
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--slow", action="store_true", default=False, help="run slow checks"
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--slow"):
-        return
-    skip = pytest.mark.skip(reason="needs --slow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(scope="session")
 def pt():
     return point()

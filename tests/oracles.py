@@ -87,3 +87,59 @@ def naive_automorphism_count(P):
         if {(mapping[a], mapping[b]) for a, b in covers} == covers:
             count += 1
     return count
+
+
+def naive_violations(P, cap=20):
+    """The verifier's diamond and connectivity violation lists, recomputed
+    from ``P.elements()`` and ``P.covers`` alone.
+
+    Reachability comes from a breadth-first search over covers. Comparable
+    pairs F <= G are visited by rank of F, rank of G, then F and G in element
+    order. A pair of rank difference 2 fails the diamond condition unless
+    exactly two elements lie strictly between; one of rank difference 3 or
+    more fails connectivity when the elements strictly between are not
+    connected by comparability. Each list keeps its first ``cap`` entries.
+    """
+    elements = P.elements()
+    ids = [eid for eid, _ in elements]
+    rank = dict(elements)
+    ups = {eid: [] for eid in ids}
+    for a, b in P.covers:
+        ups[a].append(b)
+
+    def reach(start):
+        seen, frontier = {start}, [start]
+        while frontier:
+            frontier = [y for x in frontier for y in ups[x] if y not in seen]
+            seen.update(frontier)
+        return seen
+
+    above = {eid: reach(eid) for eid in ids}
+    below = {eid: {f for f in ids if eid in above[f]} for eid in ids}
+
+    def connected(members):
+        start = next(iter(members))
+        seen, frontier = {start}, [start]
+        while frontier:
+            frontier = [
+                y for x in frontier for y in members
+                if y not in seen and (y in above[x] or x in above[y])
+            ]
+            seen.update(frontier)
+        return seen == members
+
+    pairs = sorted(
+        (rank[f], rank[g], i, j)
+        for i, f in enumerate(ids)
+        for j, g in enumerate(ids)
+        if g in above[f]
+    )
+    diamond, disconnected = [], []
+    for rf, rg, i, j in pairs:
+        f, g = ids[i], ids[j]
+        middle = (above[f] & below[g]) - {f, g}
+        if rg - rf == 2 and len(middle) != 2:
+            diamond.append((f, g, len(middle)))
+        if rg - rf >= 3 and middle and not connected(middle):
+            disconnected.append((f, g))
+    return diamond[:cap], disconnected[:cap]

@@ -115,14 +115,6 @@ def test_described_generators_prism():
     assert closure(gens) == 12
 
 
-def test_generators_match_brute_force_through_step_4():
-    for steps in range(5):
-        for node in family.enumerate_family(steps):
-            gens = described_generators(node)
-            assert closure(gens) == pp.aut_order(node.polytope), node.path
-
-
-@pytest.mark.slow
 def test_formula_brute_generators_agree_through_step_5():
     nodes = [n for steps in range(6) for n in family.enumerate_family(steps)]
     assert len(nodes) == 63

@@ -81,6 +81,30 @@ def test_decompose_round_trips():
                 assert pp.is_isomorphic(pp.join(Q, pp.point()), P) is not None
 
 
+def test_decompose_builds_only_products_of_the_right_size(monkeypatch):
+    """Neither oracle builds a candidate product whose face count differs
+    from |P|, on every family node of steps 1-4."""
+    sizes = []
+
+    def recording(product):
+        def build(*args):
+            out = product(*args)
+            sizes.append(len(out))
+            return out
+
+        return build
+
+    monkeypatch.setattr(structure, "join", recording(structure.join))
+    monkeypatch.setattr(structure, "cartesian", recording(structure.cartesian))
+    for steps in range(1, 5):
+        for node in family.enumerate_family(steps):
+            P = node.polytope
+            for oracle in (pp.pyramid_decompose, pp.prism_decompose):
+                sizes.clear()
+                oracle(P)
+                assert set(sizes) <= {len(P)}, (node.path, oracle.__name__, sizes)
+
+
 def test_pyramid_implies_apex_candidates(small_corpus):
     for P in small_corpus.values():
         if P.rank >= 1 and pp.pyramid_decompose(P) is not None:
@@ -97,6 +121,6 @@ def test_subposet_avoiding_propagates_other_errors(square, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("not a structural error")
 
-    monkeypatch.setattr(structure, "PolytopePoset", broken)
+    monkeypatch.setattr(structure, "_induced", broken)
     with pytest.raises(RuntimeError):
         structure._subposet_avoiding(square, square.faces_of_rank(0)[0])

@@ -1,5 +1,10 @@
+import random
+
 import polyprod as pp
+from polyprod import family
 from polyprod.poset import from_components
+
+from oracles import naive_violations
 
 
 def _without_cover(P, cover):
@@ -69,6 +74,17 @@ def test_disconnected_section_detected():
     assert ("0", "1") in report.connectivity_violations
 
 
+def test_connectivity_checked_at_every_rank_gap():
+    # ranks read from a file need not be consecutive: a section whose rank
+    # gap exceeds the number of faces is still checked
+    P = from_components(
+        [("a", -1), ("c", 0), ("d", 0), ("b", 99)],
+        [("a", "c"), ("a", "d"), ("c", "b"), ("d", "b")],
+        check=False,
+    )
+    assert pp.verify_polytope(P).connectivity_violations == [("a", "b")]
+
+
 def test_bounded_and_graded_verdicts(square):
     """verify_polytope reads these from the checker the constructor uses."""
     no_bottom = from_components(
@@ -129,3 +145,21 @@ def test_violation_lists_are_capped():
     report = pp.verify_polytope(P)
     assert not report.diamond_ok
     assert len(report.diamond_violations) == 20
+
+
+def test_verifier_matches_naive_oracle_on_cover_deletions():
+    """On every family node through step 3, intact and with a seeded sample
+    of 1 to 40 covers deleted, the violation lists and verdicts equal those
+    of the naive oracle (which also fixes their order and their cap)."""
+    rng = random.Random(4)
+    for node in (n for steps in range(4) for n in family.enumerate_family(steps)):
+        covers = sorted(node.polytope.covers)
+        for k in (0, 1, 1, 2, 3, 10, 40):
+            deleted = set(rng.sample(covers, min(k, len(covers))))
+            P = from_components(node.polytope.elements(), set(covers) - deleted, check=False)
+            report = pp.verify_polytope(P)
+            diamond, disconnected = naive_violations(P)
+            assert report.diamond_violations == diamond, (node.path, k)
+            assert report.connectivity_violations == disconnected, (node.path, k)
+            assert report.diamond_ok == (not diamond)
+            assert report.connected_ok == (not disconnected)
