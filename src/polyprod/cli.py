@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 polytope invalid, 2 parse error, 3 formula method
 requested on a non-family expression, 4 budget exceeded.
 
 ``verify --json FILE`` exits 2, with ``parse error: ...`` on stderr, when the
-file cannot be read, is not JSON or lacks the elements/covers/id/rank
-fields. When the poset constructor rejects what it describes (a cycle, a
-dangling cover, a duplicate id, no elements), it prints a report whose one
-failure has check "structure" and exits 1, as for any invalid poset.
+file cannot be read, is not JSON (or nests too deeply to decode), lacks the
+elements/covers/id/rank fields or holds a cover that is not a pair of ids.
+When the poset constructor rejects what it describes (a cycle, a dangling
+cover, a duplicate id, no elements), it prints a report whose one failure
+has check "structure" and exits 1, as for any invalid poset.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _cmd_verify(args) -> int:
         try:
             with open(args.json_file) as fh:
                 data = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ParseError(f"{args.json_file}: {exc}") from None
         try:
             P = poset.from_json(data, check=False)

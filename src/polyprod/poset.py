@@ -476,14 +476,19 @@ def from_json(data: dict, check: bool = True) -> PolytopePoset:
     is not a pair of ids (strings or numbers)."""
     try:
         elements = [(e["id"], e["rank"]) for e in data["elements"]]
-        covers = [(a, b) for a, b in data["covers"]]
+        covers = list(data["covers"])
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ParseError(f"malformed poset: {exc}") from None
     if not all(isinstance(eid, _SCALAR) and type(rk) is int for eid, rk in elements):
         raise ParseError("element ids must be strings or numbers, ranks integers")
-    if not all(isinstance(x, _SCALAR) for cover in covers for x in cover):
+    if not all(
+        isinstance(cover, (list, tuple))
+        and len(cover) == 2
+        and all(isinstance(x, _SCALAR) for x in cover)
+        for cover in covers
+    ):
         raise ParseError("covers must be pairs of element ids")
     return from_components(elements, covers, check=check)
 

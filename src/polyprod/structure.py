@@ -27,7 +27,7 @@ def pyramid_apex_candidates(P: PolytopePoset) -> list[int]:
     vertices = P.faces_of_rank(0)
     adjacent: dict[int, set[int]] = {v: {v} for v in vertices}
     for e in P.faces_of_rank(1):
-        under = P.lower[e]
+        under = [v for v in P.lower[e] if v in adjacent]
         for v in under:
             adjacent[v].update(under)
     return [v0 for v0 in vertices if len(adjacent[v0]) == len(vertices)]
@@ -38,6 +38,15 @@ def _subposet_avoiding(P: PolytopePoset, v: int) -> Optional[PolytopePoset]:
     structural invariants (e.g. it has several maximal elements)."""
     try:
         return _induced(P, ((1 << len(P)) - 1) & ~P.above[v], 0)
+    except PolytopeError:
+        return None
+
+
+def _facet_section(P: PolytopePoset, f: int) -> Optional[PolytopePoset]:
+    """The section from the bottom to the facet f, or None if f is not
+    above the bottom or the constructor rejects the section."""
+    try:
+        return section(P, P.bottom_face, f)
     except PolytopeError:
         return None
 
@@ -61,9 +70,10 @@ def prism_decompose(
     """Some Q with cartesian(Q, I) isomorphic to P, or None.
 
     In a prism Q x I, of 3|Q| - 2 faces, a copy of Q sits under a facet, so
-    trying every facet section is exhaustive.
+    trying every facet section is exhaustive; a section the constructor
+    rejects is skipped, since no copy of Q is rejected.
     """
-    bases = (section(P, P.bottom_face, f) for f in P.faces_of_rank(P.rank - 1))
+    bases = (_facet_section(P, f) for f in P.faces_of_rank(P.rank - 1))
     return _first_base(
         P, bases, lambda Q: cartesian(Q, edge()), lambda n: 3 * n - 2, max_elements
     )
@@ -71,10 +81,11 @@ def prism_decompose(
 
 def _first_base(P, bases, rebuild, size, max_elements) -> Optional[PolytopePoset]:
     """The first base Q that is not None and whose product ``rebuild(Q)`` is
-    isomorphic to P; None for P of rank below 1. The product is built only
-    when its face count ``size(len(Q))`` equals |P|, since posets of
-    different sizes are never isomorphic."""
-    if P.rank < 1:
+    isomorphic to P; None for P of rank below 1 or without a unique bottom
+    face, which no such product lacks. The product is built only when its
+    face count ``size(len(Q))`` equals |P|, since posets of different sizes
+    are never isomorphic."""
+    if P.rank < 1 or P.bottom_face is None:
         return None
     for Q in bases:
         if Q is not None and size(len(Q)) == len(P):

@@ -1,14 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
+import random
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polyprod as pp
 import polyprod.poset as poset
 from polyprod.cli import main
+from polyprod.expr import eval_expr, parse_expr
 
 DATA = Path(__file__).parent / "data"
+WORKED_EXAMPLE = "((I*pt)x(I^x3))*(pt^*2)"
 
 
 def test_build_json(capsys):
@@ -72,8 +79,12 @@ _ELEMENTS = [{"id": "0", "rank": -1}, {"id": "a", "rank": 0}]
         (json.dumps({"elements": _ELEMENTS}), "missing field 'covers'"),
         (json.dumps({"elements": [{"id": "0"}], "covers": []}), "missing field 'rank'"),
         (json.dumps({"elements": [{"id": "0", "rank": "low"}], "covers": []}), "integers"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),  # too deep to decode
+        (json.dumps({"elements": _ELEMENTS, "covers": ["0a"]}), "pairs of element ids"),
+        (json.dumps({"elements": _ELEMENTS, "covers": [["0", "a", "0"]]}), "pairs of element ids"),
     ],
-    ids=["not-json", "no-covers", "no-rank", "rank-not-integer"],
+    ids=["not-json", "no-covers", "no-rank", "rank-not-integer", "too-deep", "string-cover",
+         "triple-cover"],
 )
 def test_verify_json_file_unparsable(tmp_path, capsys, text, message):
     f = tmp_path / "bad.json"
@@ -103,6 +114,47 @@ def test_verify_json_file_rejected_structure(tmp_path, capsys, elements, covers,
     assert data == {"is_polytope": False, "failures": [{"check": "structure", "error": error}]}
 
 
+# fuzzed --json files: junk (scalars, short lists and dicts), and near-posets
+# with missing fields, ids that collide (1, 1.0 and true are equal keys),
+# ranks that are bools, floats or huge, and covers that are not always pairs
+
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+_junk = (
+    _scalars
+    | st.lists(_scalars, max_size=3)
+    | st.dictionaries(st.text(max_size=2), _scalars, max_size=2)
+)
+_ids = st.sampled_from(["0", "a", "b", "1", 0, 1, 1.0, True, False, -0.0])
+_ranks = st.sampled_from([-1, 0, 1, 2, 10**30, -(10**30), True, 0.5, "0", None])
+_elements = st.lists(
+    st.fixed_dictionaries({}, optional={"id": _ids, "rank": _ranks}) | _junk, max_size=8
+)
+_covers = st.lists(
+    st.lists(_ids, min_size=2, max_size=2) | st.lists(_ids, max_size=3) | _junk, max_size=10
+)
+_near_posets = st.fixed_dictionaries(
+    {}, optional={"rank": _ranks, "elements": _elements | _junk, "covers": _covers | _junk}
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_near_posets | _junk)
+def test_verify_json_fuzz_never_raises(data):
+    """Whatever JSON the file holds, verify --json answers with exit 0 or 1
+    and a report, or exit 2 and a parse error."""
+    with tempfile.TemporaryDirectory() as d:
+        f = Path(d) / "fuzz.json"
+        f.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["verify", "--json", str(f)])
+    if rc == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("parse error: ")
+    else:
+        assert rc in (0, 1)
+        assert "is_polytope" in json.loads(out.getvalue())
+
+
 def test_build_golden_json_and_dot(capsys):
     """Byte-exact build output for the triangular prism, recorded before
     faces became indices."""
@@ -113,13 +165,51 @@ def test_build_golden_json_and_dot(capsys):
 
 
 def test_build_golden_worked_example(capsys):
-    assert main(["build", "((I*pt)x(I^x3))*(pt^*2)"]) == 0
+    assert main(["build", WORKED_EXAMPLE]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "16a6dc2dd5be548afd0b8c49115304706f42789bbe5daa505115a0deaa098366"
 
 
+# name in tests/data, expression, covers deleted (0: verify the expression)
+GOLDEN_VERIFY = [
+    ("verify_cube4", "I^x4", 0),
+    ("verify_simplex6", "pt^*6", 0),
+    ("verify_worked", WORKED_EXAMPLE, 0),
+    ("verify_cube4_minus3", "I^x4", 3),
+    ("verify_cube4_minus40", "I^x4", 40),
+    ("verify_worked_minus3", WORKED_EXAMPLE, 3),
+    ("verify_worked_minus40", WORKED_EXAMPLE, 40),
+]
+
+
+def _mutant_json(expr, deletions):
+    """The face lattice of ``expr`` as ``build`` writes it, less
+    ``deletions`` covers drawn by ``random.Random(deletions)``."""
+    data = poset.to_json(eval_expr(parse_expr(expr)))
+    deleted = random.Random(deletions).sample(data["covers"], deletions)
+    data["covers"] = [c for c in data["covers"] if c not in deleted]
+    return data
+
+
+@pytest.mark.parametrize(
+    "name, expr, deletions", GOLDEN_VERIFY, ids=[g[0] for g in GOLDEN_VERIFY]
+)
+def test_verify_golden_reports(tmp_path, capsys, name, expr, deletions):
+    """Byte-exact verify reports, recorded before the connectivity check
+    became the lower-cover test: a verifier change may not reorder or
+    recount violations unnoticed."""
+    if deletions:
+        f = tmp_path / "mutant.json"
+        f.write_text(json.dumps(_mutant_json(expr, deletions)))
+        argv = ["verify", "--json", str(f)]
+    else:
+        argv = ["verify", expr]
+    assert main(argv) == (1 if deletions else 0)
+    assert capsys.readouterr().out == (DATA / f"{name}.json").read_text()
+
+
 def test_aut_formula(capsys):
-    assert main(["aut", "((I*pt)x(I^x3))*(pt^*2)", "--method", "formula"]) == 0
+    assert main(["aut", WORKED_EXAMPLE, "--method", "formula"]) == 0
     out = capsys.readouterr().out
     assert "Sym(2) × Sym(3) × ((Z/2Z)^3 ⋊ Sym(3))" in out
     assert "order: 576" in out

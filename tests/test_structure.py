@@ -2,6 +2,7 @@ import pytest
 
 import polyprod as pp
 from polyprod import family, structure
+from polyprod.poset import from_components
 
 
 def test_triangle_apex_candidates(triangle):
@@ -124,3 +125,24 @@ def test_subposet_avoiding_propagates_other_errors(square, monkeypatch):
     monkeypatch.setattr(structure, "_induced", broken)
     with pytest.raises(RuntimeError):
         structure._subposet_avoiding(square, square.faces_of_rank(0)[0])
+
+
+def test_decompose_of_unbounded_posets_is_none(square):
+    """Posets no product of polytopes is isomorphic to: both oracles answer
+    None. prism_decompose used to raise on each (TypeError on a section from
+    face None, NotComparable on a facet off the bottom, NotGraded on a facet
+    section with a cover that skips a rank), and pyramid_decompose raised
+    KeyError on the skipping cover from the bottom to an edge."""
+    no_bottom = from_components(
+        [(e, r) for e, r in square.elements() if r >= 0],
+        [(a, b) for a, b in square.covers if a != square.bottom],
+        check=False,
+    )
+    assert no_bottom.bottom_face is None
+    elements = [("0", -1), ("v", 0), ("w", 0), ("e", 1), ("x", 1), ("1", 2)]
+    covers = [("0", "v"), ("0", "w"), ("v", "e"), ("w", "e"), ("e", "1"), ("x", "1")]
+    facet_off_bottom = from_components(elements, covers, check=False)
+    skip_in_facet = from_components(elements, covers + [("0", "e")], check=False)
+    for P in (no_bottom, facet_off_bottom, skip_in_facet):
+        assert pp.pyramid_decompose(P) is None
+        assert pp.prism_decompose(P) is None

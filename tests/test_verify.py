@@ -1,7 +1,10 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 import polyprod as pp
 from polyprod import family
+from polyprod.errors import PolytopeError
 from polyprod.poset import from_components
 
 from oracles import naive_violations
@@ -163,3 +166,82 @@ def test_verifier_matches_naive_oracle_on_cover_deletions():
             assert report.connectivity_violations == disconnected, (node.path, k)
             assert report.diamond_ok == (not diamond)
             assert report.connected_ok == (not disconnected)
+
+
+@st.composite
+def _ranked_posets(draw):
+    """Up to 12 faces in three to six levels of 1-3 faces each, the lowest at
+    rank -1 and each level one rank, sometimes two, above the one before
+    (a rank jump). Covers mostly join consecutive levels; a few join a face
+    to any later one, at the same rank or skipping ranks, and at most one
+    joins any two faces, which may go down in rank or close a cycle."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=3, max_size=6))
+    ranks, rk = [], -1
+    for size in sizes:
+        ranks += [rk] * min(size, 12 - len(ranks))
+        rk += draw(st.sampled_from((1, 1, 1, 2)))
+    n = len(ranks)
+    forward = [(a, b) for b in range(n) for a in range(b)]
+    steps = [
+        (a, b)
+        for a, b in forward
+        if ranks[a] < ranks[b] and not any(ranks[a] < r < ranks[b] for r in ranks)
+    ]
+    covers = []
+    for pool, most in ((steps, 2 * n), (forward, 2)):
+        if pool:
+            covers += draw(st.lists(st.sampled_from(pool), max_size=most))
+    face = st.integers(0, n - 1)
+    covers += draw(st.lists(st.tuples(face, face), max_size=1))
+    elements = [(f"f{i}", rk) for i, rk in enumerate(ranks)]
+    return elements, [(f"f{a}", f"f{b}") for a, b in covers]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ranked_posets())
+def test_verifier_matches_naive_oracle_on_random_posets(poset_data):
+    """On small random ranked posets, valid or not, both violation lists
+    equal the naive oracle's at caps 1 and 20; the posets the constructor
+    rejects (cycles) are skipped."""
+    try:
+        P = from_components(*poset_data, check=False)
+    except PolytopeError:
+        return
+    for cap in (1, 20):
+        report = pp.verify_polytope(P, cap)
+        assert (report.diamond_violations, report.connectivity_violations) == (
+            naive_violations(P, cap)
+        )
+
+
+def test_two_squares_glued_at_bottom_and_top():
+    """Two square face lattices sharing only their bottom and top satisfy the
+    diamond condition everywhere; the one section of rank difference 3,
+    (bottom, top), falls apart into two 8-cycles."""
+    elements, covers = [("0", -1), ("1", 2)], []
+    for s in "ab":
+        vertices = [f"{s}v{i}" for i in range(4)]
+        edges = [f"{s}e{i}" for i in range(4)]
+        elements += [(v, 0) for v in vertices] + [(e, 1) for e in edges]
+        for i, e in enumerate(edges):
+            ends = (vertices[i], vertices[(i + 1) % 4])
+            covers += [("0", vertices[i]), (ends[0], e), (ends[1], e), (e, "1")]
+    P = from_components(elements, covers, check=False)
+    report = pp.verify_polytope(P)
+    assert report.bounded and report.graded and report.diamond_ok
+    assert report.connectivity_violations == [("0", "1")]
+
+
+def test_connectivity_needs_a_second_pass_over_the_coatoms():
+    """A square whose edges are listed A, C, B, D, with C opposite A. In the
+    section (bottom, top), C's down-set misses A's, so the first pass over
+    the lower covers of the top folds in B and D but not C; C joins on the
+    second pass. The square is a polytope."""
+    edges = {"A": "pq", "C": "rs", "B": "qr", "D": "sp"}
+    elements = [("0", -1)] + [(v, 0) for v in "pqrs"] + [(e, 1) for e in edges] + [("1", 2)]
+    covers = [("0", v) for v in "pqrs"]
+    covers += [(v, e) for e, ends in edges.items() for v in ends] + [(e, "1") for e in edges]
+    P = from_components(elements, covers, check=False)
+    report = pp.verify_polytope(P)
+    assert report.diamond_ok and report.connectivity_violations == []
+    assert report.is_polytope
