@@ -115,6 +115,10 @@ def aut_order(P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP) -> int:
     The last factor is counted by enumerating with the whole flag pinned.
     It is 1 on a polytope, whose automorphisms act freely on flags, and it
     keeps the count exact on any ranked poset.
+
+    Every search is a call of the public ``order_isomorphisms``; the first
+    builds P's search tables (signatures, signature masks, cover masks) and
+    keeps them on P, and the later ones read them from there.
     """
     flag = _base_flag(P)
     found: list[tuple[int, ...]] = []

@@ -1,7 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 polytope invalid, 2 parse error, 3 formula method
-requested on a non-family expression, 4 budget exceeded.
+Exit codes: 0 success, 1 polytope invalid, 2 parse error or unwritable
+output file, 3 formula method requested on a non-family expression, 4 budget
+exceeded.
+
+``family --steps N`` with N < 0 exits 2 with ``parse error: ...`` on stderr.
+``build -o PATH`` exits 2, with ``cannot write output: ...`` on stderr and
+nothing on stdout, when PATH cannot be opened for writing.
 
 ``verify --json FILE`` exits 2, with ``parse error: ...`` on stderr, when the
 file cannot be read, is not JSON (or nests too deeply to decode), lacks the
@@ -9,11 +14,15 @@ elements/covers/id/rank fields or holds a cover that is not a pair of ids.
 When the poset constructor rejects what it describes (a cycle, a dangling
 cover, a duplicate id, no elements), it prints a report whose one failure
 has check "structure" and exits 1, as for any invalid poset.
+
+``main(argv)`` returns the exit code and may be called any number of times
+in one process; the calls share only the argument parser, built once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -32,7 +41,10 @@ EXIT_NOT_FAMILY = 3
 EXIT_BUDGET = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused by
+    every later call in the process; parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="polyprod",
         description="Build abstract polytopes from construction expressions, "
@@ -72,8 +84,12 @@ def _cmd_build(args) -> int:
     else:
         text = poset.to_dot(P)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         print(text)
     return EXIT_OK
@@ -148,6 +164,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    if args.steps < 0:
+        raise ParseError(f"--steps must be >= 0, got {args.steps}")
     nodes = enumerate_family(args.steps)
     if args.json:
         print(json.dumps([node_to_json(n) for n in nodes], indent=2))

@@ -11,7 +11,6 @@ serializers.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterator, Optional
 
 from .errors import (
@@ -44,6 +43,8 @@ class PolytopePoset:
     ``above[i]``/``below[i]`` the bitmasks of the faces >= i and <= i.
     ``bottom_face``/``top_face`` are the unique faces of least and greatest
     rank, or None. The methods taking or returning ids are the label API.
+    The private ``_search`` slot holds the isomorphism-search tables once a
+    search has built them (see ``_search_tables``).
     """
 
     __slots__ = (
@@ -57,6 +58,7 @@ class PolytopePoset:
         "bottom_face",
         "top_face",
         "_index",
+        "_search",
     )
 
     def __init__(self, labels, ranks, covers, check=True):
@@ -68,6 +70,7 @@ class PolytopePoset:
         self.ranks = tuple(ranks)
         n = len(self.labels)
         self._index = {}
+        self._search = None
         for i, eid in enumerate(self.labels):
             if eid in self._index:
                 raise DuplicateId(f"duplicate element id {eid!r}")
@@ -298,6 +301,21 @@ def _cover_masks(covers: tuple[tuple[int, ...], ...]) -> list[int]:
     return masks
 
 
+def _search_tables(P: PolytopePoset) -> tuple[list, dict, list[int], list[int]]:
+    """P's isomorphism-search tables: the signature of every face, the mask
+    of the faces with each signature, and the masks of every face's upper
+    and lower covers. Built on the first search that reads them and kept in
+    P's ``_search`` slot, which is sound since P is immutable."""
+    tables = P._search
+    if tables is None:
+        sig = [_signature(P, i) for i in range(len(P))]
+        sig_mask: dict[tuple, int] = {}
+        for i, s in enumerate(sig):
+            sig_mask[s] = sig_mask.get(s, 0) | (1 << i)
+        tables = P._search = (sig, sig_mask, _cover_masks(P.upper), _cover_masks(P.lower))
+    return tables
+
+
 def order_isomorphisms(
     P: PolytopePoset,
     Q: PolytopePoset,
@@ -321,6 +339,12 @@ def order_isomorphisms(
     an order isomorphism: it is injective on covers and both posets have the
     same number of covers, since their signature multisets agree.
 
+    The signatures, the faces of each signature and the cover masks come
+    from ``_search_tables``, built once per poset and kept on it, so the
+    many searches of one poset (``aut_order`` runs one per candidate of its
+    stabilizer chain) share them. When Q is P the multisets agree trivially
+    and are not compared.
+
     The next face comes from a queue of cover-neighbours of assigned faces
     that were left with at most one live candidate (forced, or a dead end to
     back out of). Only when the queue runs dry, at a true branch point, are
@@ -336,14 +360,15 @@ def order_isomorphisms(
         raise SearchBudgetExceeded(
             f"poset has {n} elements, above the cap of {max_elements}"
         )
-    sig_p = [_signature(P, i) for i in range(n)]
-    sig_q = [_signature(Q, j) for j in range(n)]
-    if Counter(sig_p) != Counter(sig_q):
+    sig_p, by_sig_p, _, _ = _search_tables(P)
+    _, sig_mask, up_q, down_q = _search_tables(Q)
+    # the multisets agree when each signature of P has as many faces in Q,
+    # since |P| = |Q|
+    if Q is not P and any(
+        m.bit_count() != sig_mask.get(s, 0).bit_count() for s, m in by_sig_p.items()
+    ):
         return
 
-    sig_mask: dict[tuple, int] = {}
-    for j, s in enumerate(sig_q):
-        sig_mask[s] = sig_mask.get(s, 0) | (1 << j)
     live = [sig_mask[s] for s in sig_p]
     for i, j in (pins or {}).items():
         live[i] &= 1 << j
@@ -351,7 +376,6 @@ def order_isomorphisms(
             return
 
     up_p, down_p = P.upper, P.lower
-    up_q, down_q = _cover_masks(Q.upper), _cover_masks(Q.lower)
     mapping = [-1] * n
     used = 0
     trail: list[tuple[int, int]] = []  # (face, live mask before narrowing)

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyprod as pp
-from polyprod import family, groups
+from polyprod import family, groups, poset
 from polyprod.autom import FacePermutation, closure, described_generators, identity
 from polyprod.errors import ClosureBudgetExceeded
+from polyprod.expr import eval_expr, parse_expr
 from polyprod.poset import SearchBudgetExceeded, from_components, order_isomorphisms
 
 from oracles import naive_automorphism_count
@@ -214,3 +215,23 @@ def test_group_axioms_property(data):
     assert g.inverse() in table
     assert g.compose(g.inverse()).is_identity()
     assert any(p.is_identity() for p in perms)
+
+
+@pytest.mark.parametrize(
+    "text, order", [("I^x4", 384), ("((I*pt)x(I^x3))*(pt^*2)", 576)]
+)
+def test_aut_order_builds_search_tables_once(monkeypatch, text, order):
+    """aut_order runs one search per chain candidate, but the signatures are
+    computed once per face: the search tables are kept on the poset."""
+    calls = 0
+    signature = poset._signature
+
+    def counting(P, i):
+        nonlocal calls
+        calls += 1
+        return signature(P, i)
+
+    monkeypatch.setattr(poset, "_signature", counting)
+    P = eval_expr(parse_expr(text))
+    assert pp.aut_order(P) == order
+    assert calls <= len(P)

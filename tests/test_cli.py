@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import polyprod as pp
 import polyprod.poset as poset
-from polyprod.cli import main
+from polyprod.cli import _build_parser, main
 from polyprod.expr import eval_expr, parse_expr
 
 DATA = Path(__file__).parent / "data"
@@ -277,3 +280,63 @@ def test_family_json(capsys):
     assert main(["family", "--steps", "1", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert [n["order"] for n in data] == [8, 6]
+
+
+def test_family_negative_steps(capsys):
+    assert main(["family", "--steps", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: --steps must be >= 0, got -1\n"
+
+
+def test_build_to_unwritable_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["build", "I^x2", "-o", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write output: ")
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+# repeated in-process calls: each prints what a fresh process prints
+
+
+def _fresh(argv):
+    """(exit code, stdout, stderr) of a new interpreter running polyprod."""
+    src = Path(pp.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-8"}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from polyprod.cli import entry; entry()", *argv],
+        capture_output=True, env=env, check=False,
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        ([["--max-elements", "5", "build", "I^x3"], 4], [["build", "I^x3"], 0]),
+        ([["aut", "I^x2", "--method", "brute"], 0], [["aut", "I^x2"], 0]),
+        ([["decompose", "I"], 2], [["aut", "pt^*3"], 0]),
+    ],
+    ids=["budget-then-default", "brute-then-formula", "usage-error-then-query"],
+)
+def test_repeated_main_calls_match_fresh_processes(steps):
+    """Consecutive main calls in one process share only the parser: no
+    option, method or error state carries over from one call to the next."""
+    for argv, code in steps:
+        result = _in_process(argv)
+        assert result[0] == code
+        assert result == _fresh(argv)
+    assert _build_parser() is _build_parser()

@@ -143,6 +143,30 @@ def test_not_isomorphic_triangle_square(triangle, square):
     assert pp.is_isomorphic(triangle, square) is None
 
 
+def _two_edges(split):
+    """Four vertices under two edges, the first over ``split`` of them, and
+    one top: a bounded graded poset, but not a polytope."""
+    vertices = "abcd"
+    covers = [("0", v) for v in vertices]
+    covers += [(v, "e" if k < split else "f") for k, v in enumerate(vertices)]
+    covers += [("e", "1"), ("f", "1")]
+    elements = [("0", -1)] + [(v, 0) for v in vertices] + [("e", 1), ("f", 1), ("1", 2)]
+    return pp.from_components(elements, covers, check=False)
+
+
+def test_not_isomorphic_equal_size_signatures_differ():
+    """Equal face counts, different signature multisets: no map either way,
+    and the tables each search builds stay on the poset for the next one."""
+    P, Q = _two_edges(2), _two_edges(3)
+    assert len(P) == len(Q)
+    assert pp.is_isomorphic(P, Q) is None
+    assert pp.is_isomorphic(Q, P) is None
+    tables = P._search
+    assert tables is not None
+    assert pp.is_isomorphic(P, _two_edges(2)) is not None
+    assert P._search is tables
+
+
 def test_isomorphic_identity(square):
     mapping = pp.is_isomorphic(square, square)
     assert mapping is not None
