@@ -116,9 +116,11 @@ def aut_order(P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP) -> int:
     It is 1 on a polytope, whose automorphisms act freely on flags, and it
     keeps the count exact on any ranked poset.
 
-    Every search is a call of the public ``order_isomorphisms``; the first
-    builds P's search tables (signatures, signature masks, cover masks) and
-    keeps them on P, and the later ones read them from there.
+    Every search is a call of the public ``order_isomorphisms``, which
+    reads two tables kept on P: the search tables (signatures and signature
+    masks), built by the first search, and the cover masks, built by the
+    first search or by an earlier ``verify_polytope`` of P. Later searches
+    build neither.
     """
     flag = _base_flag(P)
     found: list[tuple[int, ...]] = []

@@ -4,6 +4,14 @@ Exit codes: 0 success, 1 polytope invalid, 2 parse error or unwritable
 output file, 3 formula method requested on a non-family expression, 4 budget
 exceeded.
 
+An expression nesting deeper than ``expr.MAX_DEPTH`` (200) levels, counting
+open parentheses and operators on one path of its tree alike (a chain
+``pt x pt x ...`` of 201 operators is too deep), exits 2 with
+``parse error: ...`` on stderr, as does an exponent of more than 4300
+digits. An expression whose face count passes ``--max-elements`` exits 4
+with one ``budget exceeded: ...`` line; the count is given exactly below
+10^4300 and as "at least 10^4300" above.
+
 ``family --steps N`` with N < 0 exits 2 with ``parse error: ...`` on stderr.
 ``build -o PATH`` exits 2, with ``cannot write output: ...`` on stderr and
 nothing on stdout, when PATH cannot be opened for writing.

@@ -7,6 +7,11 @@ Grammar (whitespace ignored)::
                                         mixing * and x unparenthesized is an error
     pow  := atom [ "^*" nat | "^x" nat ]
     atom := "pt" | "I" | "(" expr ")"
+
+An expression may nest at most ``MAX_DEPTH`` levels deep: that many
+parentheses open at once, and that many operators on one path from the root
+of its tree to a leaf. Deeper input is a ``ParseError``, so that no recursion
+over the text or the tree reaches Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -55,6 +60,13 @@ class CartPow:
 # process, which would keep this module alive after a re-import
 ConstructionExpr = Atom | Join | Cart | JoinPow | CartPow
 
+MAX_DEPTH = 200
+
+# sizes below 10^EXACT_DIGITS are reported exactly, larger ones as "at least";
+# Python formats ints of at most 4300 digits by default
+_EXACT_DIGITS = 4300
+_EXACT_BELOW = 10**_EXACT_DIGITS
+
 _TOKEN = re.compile(r"\s*(pt|I|x|\^\*|\^x|\*|\(|\)|\d+)")
 
 
@@ -79,6 +91,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.parens = 0  # parentheses open at the current token
 
     def peek(self) -> Optional[str]:
         if self.pos < len(self.tokens):
@@ -103,14 +116,23 @@ class _Parser:
             raise ParseError(f"expected {tok!r}, got {got!r}", self.position())
         self.pos += 1
 
+    def nest(self, depth: int, at: int) -> int:
+        """depth + 1, or a ParseError at ``at`` when that passes MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", at)
+        return depth + 1
+
+    # expr, pow and atom return the node with its height: the number of
+    # operators on the longest path from the node down to a leaf
+
     def parse(self) -> ConstructionExpr:
-        node = self.expr()
+        node, _ = self.expr()
         if self.peek() is not None:
             raise ParseError(f"trailing input {self.peek()!r}", self.position())
         return node
 
-    def expr(self) -> ConstructionExpr:
-        node = self.pow()
+    def expr(self) -> tuple[ConstructionExpr, int]:
+        node, height = self.pow()
         chain_op = None
         while self.peek() in ("*", "x"):
             at = self.position()
@@ -121,12 +143,13 @@ class _Parser:
                 raise MixedOperatorsWithoutParens(
                     "mixing '*' and 'x' in one chain requires parentheses", at
                 )
-            rhs = self.pow()
+            rhs, rhs_height = self.pow()
             node = Join(node, rhs) if op == "*" else Cart(node, rhs)
-        return node
+            height = self.nest(max(height, rhs_height), at)
+        return node, height
 
-    def pow(self) -> ConstructionExpr:
-        base = self.atom()
+    def pow(self) -> tuple[ConstructionExpr, int]:
+        base, height = self.atom()
         if self.peek() in ("^*", "^x"):
             at = self.position()
             op = self.take()
@@ -134,22 +157,28 @@ class _Parser:
             if num is None or not num.isdigit():
                 raise ParseError("expected an exponent", self.position())
             self.take()
-            k = int(num)
+            try:
+                k = int(num)
+            except ValueError:  # more digits than Python converts to an int
+                raise ParseError("exponent too large", at) from None
             if k < 1:
                 raise ParseError("exponent must be >= 1", at)
-            return JoinPow(base, k) if op == "^*" else CartPow(base, k)
-        return base
+            node = JoinPow(base, k) if op == "^*" else CartPow(base, k)
+            return node, self.nest(height, at)
+        return base, height
 
-    def atom(self) -> ConstructionExpr:
+    def atom(self) -> tuple[ConstructionExpr, int]:
         tok = self.peek()
         if tok == "pt" or tok == "I":
             self.take()
-            return Atom(tok)
+            return Atom(tok), 0
         if tok == "(":
+            self.parens = self.nest(self.parens, self.position())
             self.take()
-            node = self.expr()
+            result = self.expr()
             self.expect(")")
-            return node
+            self.parens -= 1
+            return result
         raise ParseError(f"expected 'pt', 'I' or '(', got {tok!r}", self.position())
 
 
@@ -180,17 +209,38 @@ def render_expr(e: ConstructionExpr) -> str:
 
 def expr_size(e: ConstructionExpr) -> int:
     """Element count of the face poset, computed without building it."""
+    return _size(e, None)
+
+
+def _size(e: ConstructionExpr, limit: Optional[int]) -> int:
+    """expr_size(e), or ``limit`` when that is at least ``limit``.
+
+    Every size grows with the sizes of the operands, which are at least 2,
+    so a node of size below the limit has operands of size below it, and an
+    operand clamped to the limit keeps its node at or above it. So no value
+    computed has more than about twice the limit's digits, whatever the
+    exponents."""
     if isinstance(e, Atom):
-        return 2 if e.name == "pt" else 4
-    if isinstance(e, Join):
-        return expr_size(e.left) * expr_size(e.right)
-    if isinstance(e, Cart):
-        return (expr_size(e.left) - 1) * (expr_size(e.right) - 1) + 1
-    if isinstance(e, JoinPow):
-        return expr_size(e.base) ** e.k
-    if isinstance(e, CartPow):
-        return (expr_size(e.base) - 1) ** e.k + 1
-    raise TypeError(f"not an expression node: {e!r}")
+        size = 2 if e.name == "pt" else 4
+    elif isinstance(e, Join):
+        size = _size(e.left, limit) * _size(e.right, limit)
+    elif isinstance(e, Cart):
+        size = (_size(e.left, limit) - 1) * (_size(e.right, limit) - 1) + 1
+    elif isinstance(e, JoinPow):
+        size = _power(_size(e.base, limit), e.k, limit)
+    elif isinstance(e, CartPow):
+        size = _power(_size(e.base, limit) - 1, e.k, limit) + 1
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    return size if limit is None or size < limit else limit
+
+
+def _power(base: int, k: int, limit: Optional[int]) -> int:
+    """base**k, or ``limit`` when base**k surely passes it, which is when
+    2**((bits of base - 1) * k), a lower bound of base**k, does."""
+    if limit is not None and (base.bit_length() - 1) * k >= limit.bit_length():
+        return limit
+    return base**k
 
 
 def eval_expr(
@@ -199,9 +249,11 @@ def eval_expr(
     check: bool = True,
 ) -> PolytopePoset:
     """Build the face poset of an expression and verify it is a polytope."""
-    if expr_size(e) > max_elements:
+    size = _size(e, max(max_elements + 1, _EXACT_BELOW))
+    if size > max_elements:
+        shown = size if size < _EXACT_BELOW else f"at least 10^{_EXACT_DIGITS}"
         raise BudgetExceeded(
-            f"expression yields {expr_size(e)} faces, above the cap of {max_elements}"
+            f"expression yields {shown} faces, above the cap of {max_elements}"
         )
 
     def build(node: ConstructionExpr) -> PolytopePoset:

@@ -3,7 +3,12 @@
 Faces are the indices 0..n-1. A polytope is stored as its Hasse diagram
 (the upper and lower covers of every face) together with precomputed
 reachability bitsets, so order queries, sections and the backtracking
-searches are all cheap bit operations. Each face also has a string id, its
+searches are all cheap bit operations. Each order table is derived once per
+poset, in one place: the constructor orders the faces topologically (which
+also rejects cover cycles) and folds both reachability bitsets along that
+order; the cover masks are built on first read by ``_cover_masks`` and
+shared by the verifier and the searches; the search tables are built on
+the first search by ``_search_tables``. Each face also has a string id, its
 label. Labels are translated to faces and back only in this module: by the
 label API on the poset, by ``from_components``/``from_json`` and by the
 serializers.
@@ -43,8 +48,8 @@ class PolytopePoset:
     ``above[i]``/``below[i]`` the bitmasks of the faces >= i and <= i.
     ``bottom_face``/``top_face`` are the unique faces of least and greatest
     rank, or None. The methods taking or returning ids are the label API.
-    The private ``_search`` slot holds the isomorphism-search tables once a
-    search has built them (see ``_search_tables``).
+    The private slots ``_search`` and ``_masks`` hold the search tables and
+    the cover masks once read (see ``_search_tables``, ``_cover_masks``).
     """
 
     __slots__ = (
@@ -59,6 +64,7 @@ class PolytopePoset:
         "top_face",
         "_index",
         "_search",
+        "_masks",
     )
 
     def __init__(self, labels, ranks, covers, check=True):
@@ -70,7 +76,7 @@ class PolytopePoset:
         self.ranks = tuple(ranks)
         n = len(self.labels)
         self._index = {}
-        self._search = None
+        self._search = self._masks = None
         for i, eid in enumerate(self.labels):
             if eid in self._index:
                 raise DuplicateId(f"duplicate element id {eid!r}")
@@ -86,8 +92,7 @@ class PolytopePoset:
         self.upper = tuple(tuple(sorted(u)) for u in upper)
         self.lower = tuple(tuple(sorted(l)) for l in lower)
 
-        self.above = self._reachability(self.upper)
-        self.below = self._reachability(self.lower)
+        self.above, self.below = _closures(self.upper, self.lower)
 
         min_rank = min(self.ranks)
         self.rank = max(self.ranks)
@@ -102,36 +107,6 @@ class PolytopePoset:
                 raise first
 
     # -- construction checks ------------------------------------------------
-
-    def _reachability(self, adjacency):
-        """Reflexive-transitive closure as bitmasks; rejects cycles."""
-        n = len(adjacency)
-        masks: list[Optional[int]] = [None] * n
-        on_stack = [False] * n
-        for start in range(n):
-            if masks[start] is not None:
-                continue
-            stack = [(start, 0)]
-            on_stack[start] = True
-            while stack:
-                node, child = stack[-1]
-                if child < len(adjacency[node]):
-                    stack[-1] = (node, child + 1)
-                    nxt = adjacency[node][child]
-                    if masks[nxt] is not None:
-                        continue
-                    if on_stack[nxt]:
-                        raise NotGraded("cover relation contains a cycle")
-                    on_stack[nxt] = True
-                    stack.append((nxt, 0))
-                else:
-                    m = 1 << node
-                    for nxt in adjacency[node]:
-                        m |= masks[nxt]
-                    masks[node] = m
-                    on_stack[node] = False
-                    stack.pop()
-        return tuple(masks)
 
     def violations(self) -> Iterator[PolytopeError]:
         """The structural defects, in the order the constructor checks them:
@@ -209,6 +184,32 @@ class PolytopePoset:
 
     def up_mask(self, eid: str) -> int:
         return self.above[self.face(eid)]
+
+
+def _closures(upper, lower) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The masks of the faces >= and <= each face, folded along one Kahn
+    topological order of the covers; faces on or above a cycle never enter it."""
+    n = len(upper)
+    waiting = [len(l) for l in lower]
+    order = [i for i in range(n) if not waiting[i]]
+    above, below = [0] * n, [0] * n
+    for i in order:  # the order grows while it is walked
+        m = 1 << i
+        for j in lower[i]:
+            m |= below[j]
+        below[i] = m
+        for j in upper[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                order.append(j)
+    if len(order) < n:
+        raise NotGraded("cover relation contains a cycle")
+    for i in reversed(order):
+        m = 1 << i
+        for j in upper[i]:
+            m |= above[j]
+        above[i] = m
+    return tuple(above), tuple(below)
 
 
 def _label_covers(P: PolytopePoset) -> Iterator[tuple[str, str]]:
@@ -291,29 +292,31 @@ def _signature(P: PolytopePoset, i: int) -> tuple[int, int, int, int, int]:
     )
 
 
-def _cover_masks(covers: tuple[tuple[int, ...], ...]) -> list[int]:
-    masks = []
-    for neighbours in covers:
-        m = 0
-        for j in neighbours:
-            m |= 1 << j
-        masks.append(m)
-    return masks
+def _cover_masks(P: PolytopePoset) -> tuple[list[int], list[int]]:
+    """The masks of every face's upper and of its lower covers, built on the
+    first read and kept in P's ``_masks`` slot (P is immutable)."""
+    if P._masks is None:
+        pair = ([], [])
+        for covers, masks in zip((P.upper, P.lower), pair):
+            for neighbours in covers:
+                m = 0
+                for j in neighbours:
+                    m |= 1 << j
+                masks.append(m)
+        P._masks = pair
+    return P._masks
 
 
-def _search_tables(P: PolytopePoset) -> tuple[list, dict, list[int], list[int]]:
-    """P's isomorphism-search tables: the signature of every face, the mask
-    of the faces with each signature, and the masks of every face's upper
-    and lower covers. Built on the first search that reads them and kept in
-    P's ``_search`` slot, which is sound since P is immutable."""
-    tables = P._search
-    if tables is None:
+def _search_tables(P: PolytopePoset) -> tuple[list, dict]:
+    """P's search tables, the signature of every face and the mask of the
+    faces with each signature, built on the first search and kept on P."""
+    if P._search is None:
         sig = [_signature(P, i) for i in range(len(P))]
         sig_mask: dict[tuple, int] = {}
         for i, s in enumerate(sig):
             sig_mask[s] = sig_mask.get(s, 0) | (1 << i)
-        tables = P._search = (sig, sig_mask, _cover_masks(P.upper), _cover_masks(P.lower))
-    return tables
+        P._search = (sig, sig_mask)
+    return P._search
 
 
 def order_isomorphisms(
@@ -339,11 +342,14 @@ def order_isomorphisms(
     an order isomorphism: it is injective on covers and both posets have the
     same number of covers, since their signature multisets agree.
 
-    The signatures, the faces of each signature and the cover masks come
-    from ``_search_tables``, built once per poset and kept on it, so the
-    many searches of one poset (``aut_order`` runs one per candidate of its
-    stabilizer chain) share them. When Q is P the multisets agree trivially
-    and are not compared.
+    Each poset keeps the tables a search reads, so the many searches of one
+    poset (``aut_order`` runs one per candidate of its stabilizer chain)
+    share them. The signatures and the faces of each signature come from
+    ``_search_tables``, for P and Q. The cover masks come from
+    ``_cover_masks``, for Q only, since P's covers are walked as lists;
+    they are the masks ``verify_polytope`` reads, so a poset verified
+    before it is searched builds them once. When Q is P the multisets agree
+    trivially and are not compared.
 
     The next face comes from a queue of cover-neighbours of assigned faces
     that were left with at most one live candidate (forced, or a dead end to
@@ -360,8 +366,8 @@ def order_isomorphisms(
         raise SearchBudgetExceeded(
             f"poset has {n} elements, above the cap of {max_elements}"
         )
-    sig_p, by_sig_p, _, _ = _search_tables(P)
-    _, sig_mask, up_q, down_q = _search_tables(Q)
+    sig_p, by_sig_p = _search_tables(P)
+    _, sig_mask = _search_tables(Q)
     # the multisets agree when each signature of P has as many faces in Q,
     # since |P| = |Q|
     if Q is not P and any(
@@ -376,6 +382,7 @@ def order_isomorphisms(
             return
 
     up_p, down_p = P.upper, P.lower
+    up_q, down_q = _cover_masks(Q)
     mapping = [-1] * n
     used = 0
     trail: list[tuple[int, int]] = []  # (face, live mask before narrowing)

@@ -61,7 +61,7 @@ def verify_polytope(P: PolytopePoset, max_violations: int = MAX_VIOLATIONS) -> V
     """
     found = {type(v) for v in P.violations()}
     labels, up, down = P.labels, P.above, P.below
-    lower = _cover_masks(P.lower)
+    _, lower = _cover_masks(P)
     cap = max(max_violations, 1)
     diamonds = (
         (labels[f], labels[g], middle)

@@ -54,3 +54,25 @@ def small_corpus(pt, seg, triangle, square, tetrahedron, tri_prism, square_pyram
         "tri_prism": tri_prism,
         "square_pyramid": square_pyramid,
     }
+
+
+@pytest.fixture
+def mask_builds(monkeypatch):
+    """The posets whose cover masks get built, in order: a call of the mask
+    builder ``_cover_masks``, from the verifier or a search, is a build
+    unless it returns the masks the poset already held."""
+    from polyprod import poset, verify
+
+    builds = []
+    cover_masks = poset._cover_masks
+
+    def counting(P):
+        held = getattr(P, "_masks", None)
+        masks = cover_masks(P)
+        if held is None or masks is not held:
+            builds.append(P)
+        return masks
+
+    for module in (poset, verify):
+        monkeypatch.setattr(module, "_cover_masks", counting)
+    return builds

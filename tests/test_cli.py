@@ -340,3 +340,63 @@ def test_repeated_main_calls_match_fresh_processes(steps):
         assert result[0] == code
         assert result == _fresh(argv)
     assert _build_parser() is _build_parser()
+
+
+_DEEP_PARENS = "(" * 1000 + "pt" + ")" * 1000
+_LONG_CHAIN = " x ".join(["pt"] * 1500)
+_LONG_PRISM_CHAIN = "I" + "xI" * 1500
+
+
+@pytest.mark.parametrize(
+    "argv, at",
+    [
+        (["build", _DEEP_PARENS], 200),
+        (["build", _LONG_CHAIN], _LONG_CHAIN.index("x") + 5 * 200),
+        (["aut", _LONG_PRISM_CHAIN], 1 + 2 * 200),
+    ],
+    ids=["parentheses", "left-deep-chain", "aut-prism-chain"],
+)
+def test_too_deep_expression_is_a_parse_error(capsys, argv, at):
+    """Nesting past MAX_DEPTH (200) exits 2 with one parse error line, at the
+    parenthesis or operator that passes it, instead of a RecursionError."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"parse error: expression nests deeper than 200 levels (at position {at})\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ["(" * 200 + "pt" + ")" * 200, " x ".join(["pt"] * 201)], ids=["parens", "chain"]
+)
+def test_expression_at_the_depth_limit_builds(capsys, text):
+    assert main(["build", text]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["--max-elements", "1000", "build", "I^x8"], "6562"),
+        (["build", "pt^*14000"], str(2**14000)),
+        (["build", "pt^*20000"], "at least 10^4300"),
+        (["build", "I^x100000"], "at least 10^4300"),
+        (["aut", "(IxI)^x100000", "--method", "brute"], "at least 10^4300"),
+    ],
+    ids=["I^x8", "pt^*14000", "pt^*20000", "I^x100000", "aut-brute"],
+)
+def test_budget_exceeded_is_one_line(capsys, argv, count):
+    """Sizes below 10^4300 are printed exactly, as before; larger ones end in
+    the same one line instead of a ValueError from formatting the count."""
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"budget exceeded: expression yields {count} faces, above the cap of 1000\n"
+    )
+
+
+def test_exponent_with_too_many_digits_is_a_parse_error(capsys):
+    assert main(["build", "pt^*" + "9" * 5000]) == 2
+    assert capsys.readouterr().err == "parse error: exponent too large (at position 2)\n"

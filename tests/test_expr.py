@@ -140,3 +140,24 @@ def test_expr_size_matches_built_poset(ast):
         return
     P = pp.eval_expr(ast, check=False)
     assert len(P) == size
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_asts, st.integers(2, 10**6))
+def test_clamped_size_is_the_size_or_the_limit(ast, limit):
+    """The size eval_expr checks against its cap is exact below the limit,
+    and the limit itself from there on."""
+    assert expr._size(ast, limit) == min(expr.expr_size(ast), limit)
+
+
+def test_nesting_limit_counts_parentheses_and_operators():
+    assert pp.parse_expr("(" * expr.MAX_DEPTH + "I" + ")" * expr.MAX_DEPTH) == Atom("I")
+    with pytest.raises(ParseError, match="nests deeper"):
+        pp.parse_expr("(" * (expr.MAX_DEPTH + 1) + "I" + ")" * (expr.MAX_DEPTH + 1))
+    # each power and each operator of a chain is one level
+    text = "pt"
+    for _ in range(expr.MAX_DEPTH):
+        text = f"({text})^x1"
+    assert expr.expr_size(pp.parse_expr(text)) == 2
+    with pytest.raises(ParseError, match="nests deeper"):
+        pp.parse_expr(f"{text} x pt")

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 import polyprod as pp
 from polyprod import poset
@@ -14,6 +15,7 @@ from polyprod.errors import (
 )
 
 from oracles import naive_leq, naive_maximal_chains, naive_interval
+from test_verify import _ranked_posets
 
 
 def test_from_components_edge():
@@ -222,3 +224,57 @@ def test_dot_escapes_quotes_and_backslashes():
     assert '"say \\"hi\\"" [label="say \\"hi\\":0"];' in dot
     assert '"0" -> "back\\\\slash";' in dot
     assert '{ rank=same; "back\\\\slash"; "say \\"hi\\""; }' in dot
+
+
+def _naive_reach(covers, start):
+    """The faces reachable from ``start`` along ``covers``, by breadth-first
+    search, ``start`` included."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        frontier = [b for a, b in covers if a in frontier and b not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ranked_posets())
+def test_closures_match_naive_search(poset_data):
+    """The constructor raises NotGraded exactly when the covers close a cycle
+    (self-covers included), with or without ``check``. Otherwise ``above``
+    and ``below`` are the naive closures over ``P.covers``. The covers go
+    to the constructor as drawn, repeats included."""
+    elements, label_covers = poset_data
+    index = {eid: i for i, (eid, _) in enumerate(elements)}
+    covers = [(index[a], index[b]) for a, b in label_covers]
+    cyclic = any(a in _naive_reach(covers, b) for a, b in covers)
+    labels, ranks = zip(*elements)
+    if cyclic:
+        for check in (False, True):
+            with pytest.raises(NotGraded, match="^cover relation contains a cycle$"):
+                poset.PolytopePoset(labels, ranks, covers, check=check)
+        return
+    P = poset.PolytopePoset(labels, ranks, covers, check=False)
+    ups = list(P.covers)
+    downs = [(b, a) for a, b in ups]
+    for i, eid in enumerate(P.labels):
+        assert {P.labels[j] for j in poset._bits(P.above[i])} == _naive_reach(ups, eid)
+        assert {P.labels[j] for j in poset._bits(P.below[i])} == _naive_reach(downs, eid)
+
+
+def test_repeated_covers_count_once_and_self_covers_are_cycles():
+    repeated = [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)]
+    P = poset.PolytopePoset(("0", "a", "b", "1"), (-1, 0, 0, 1), repeated)
+    assert P.above == pp.edge().above and P.below == pp.edge().below
+    for check in (False, True):
+        with pytest.raises(NotGraded, match="cycle"):
+            poset.PolytopePoset(("0", "1"), (-1, 0), [(0, 1), (1, 1)], check=check)
+
+
+def test_verify_then_aut_order_builds_cover_masks_once(mask_builds):
+    """The verifier and every search of aut_order read the one pair of
+    cover masks kept on P."""
+    P = pp.eval_expr(pp.parse_expr("((I*pt)x(I^x3))*(pt^*2)"), check=False)
+    assert mask_builds == []
+    assert pp.verify_polytope(P).is_polytope
+    assert pp.aut_order(P) == 576
+    assert len(mask_builds) == 1 and mask_builds[0] is P

@@ -146,3 +146,22 @@ def test_decompose_of_unbounded_posets_is_none(square):
     for P in (no_bottom, facet_off_bottom, skip_in_facet):
         assert pp.pyramid_decompose(P) is None
         assert pp.prism_decompose(P) is None
+
+
+@pytest.mark.parametrize(
+    "text, oracle",
+    [
+        ("I^x3", structure.prism_decompose),
+        ("(I*pt)xI", structure.prism_decompose),
+        ("(IxI)*pt", structure.pyramid_decompose),
+        ("pt^*5", structure.pyramid_decompose),
+        ("((I*pt)x(I^x3))*(pt^*2)", structure.pyramid_decompose),
+    ],
+)
+def test_decompose_builds_no_candidate_cover_masks(mask_builds, text, oracle):
+    """Each rebuilt candidate is the first argument of its search, whose
+    cover masks are never read; only P's are, built once by the verify in
+    eval_expr."""
+    P = pp.eval_expr(pp.parse_expr(text))
+    assert oracle(P) is not None
+    assert len(mask_builds) == 1 and mask_builds[0] is P
