@@ -10,7 +10,13 @@ open parentheses and operators on one path of its tree alike (a chain
 ``parse error: ...`` on stderr, as does an exponent of more than 4300
 digits. An expression whose face count passes ``--max-elements`` exits 4
 with one ``budget exceeded: ...`` line; the count is given exactly below
-10^4300 and as "at least 10^4300" above.
+10^4300 and as "at least 10^4300" above. So does one whose build takes more
+product constructions than ``--max-elements``, counting one per ``*`` or
+``x`` and k - 1 per power, such as ``(pt x pt)^x5000``, which has 2 faces.
+
+``build``, ``aut`` and ``decompose`` do not verify the posets they build:
+products of polytopes are polytopes. ``verify EXPR`` is the one command
+that runs the axiom checker on an expression.
 
 ``family --steps N`` with N < 0 exits 2 with ``parse error: ...`` on stderr.
 ``build -o PATH`` exits 2, with ``cannot write output: ...`` on stderr and
@@ -24,7 +30,9 @@ cover, a duplicate id, no elements), it prints a report whose one failure
 has check "structure" and exits 1, as for any invalid poset.
 
 ``main(argv)`` returns the exit code and may be called any number of times
-in one process; the calls share only the argument parser, built once.
+in one process; the calls share only the argument parser, built once. The
+``polyprod`` script (``entry``) exits silently, killed by SIGPIPE, when its
+stdout is closed early.
 """
 
 from __future__ import annotations
@@ -119,7 +127,7 @@ def _cmd_verify(args) -> int:
             print(json.dumps({"is_polytope": False, "failures": [failure]}, indent=2))
             return EXIT_INVALID
     elif args.expr:
-        P = eval_expr(parse_expr(args.expr), max_elements=args.max_elements, check=False)
+        P = eval_expr(parse_expr(args.expr), max_elements=args.max_elements)
     else:
         print("verify needs an expression or --json FILE", file=sys.stderr)
         return EXIT_PARSE
@@ -211,6 +219,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """The ``polyprod`` console script. Where the platform has SIGPIPE, a
+    stdout closed by its reader ends the process silently, as it ends other
+    Unix filters; ``main`` leaves the disposition alone for in-process
+    callers."""
+    import signal  # here, not at the top: in-process callers never need it
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -64,7 +64,7 @@ def test_criterion_2_worked_example(capsys):
 
 def test_criterion_2_slow_brute_force_worked_example():
     P = pp.eval_expr(
-        pp.parse_expr("((I*pt)x(I^x3))*(pt^*2)"), max_elements=1000, check=False
+        pp.parse_expr("((I*pt)x(I^x3))*(pt^*2)"), max_elements=1000
     )
     assert len(P) == 760
     assert pp.aut_order(P) == 576

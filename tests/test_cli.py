@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import polyprod as pp
 import polyprod.poset as poset
+import polyprod.verify as verify
 from polyprod.cli import _build_parser, main
 from polyprod.expr import eval_expr, parse_expr
 
@@ -253,6 +255,34 @@ def test_exit_code_budget(capsys):
     assert main(["build", "I^x9"]) == 4
 
 
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (["build", "I^x3"], 0),
+        (["aut", "(I*pt)xI", "--method", "brute"], 0),
+        (["decompose", "(I*pt)xI", "--as", "prism"], 0),
+        (["verify", "(I*pt)xI"], 1),
+    ],
+    ids=["build", "aut-brute", "decompose", "verify"],
+)
+def test_only_verify_runs_the_verifier(monkeypatch, capsys, argv, runs):
+    """build, aut and decompose do not verify the products they build;
+    verify EXPR runs the checker once. Each run of the checker makes one
+    walk over the intervals of rank difference 2."""
+    walks = []
+    intervals = verify._intervals
+
+    def counting(P, gaps):
+        if 2 in gaps:
+            walks.append(P)
+        return intervals(P, gaps)
+
+    monkeypatch.setattr(verify, "_intervals", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(walks) == runs
+
+
 def test_exit_code_closure_budget(capsys):
     assert main(["--max-closure", "10", "aut", "I^x3", "--method", "generators"]) == 4
     assert capsys.readouterr().err == "budget exceeded: closure exceeds the cap of 10\n"
@@ -395,6 +425,41 @@ def test_budget_exceeded_is_one_line(capsys, argv, count):
     assert captured.err == (
         f"budget exceeded: expression yields {count} faces, above the cap of 1000\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text, count", [("(ptxpt)^x32000", 32000), ("pt^x5000", 4999)], ids=["ptxpt", "pt"]
+)
+def test_product_count_budget(capsys, text, count):
+    """A Cartesian power of a 2-face operand has 2 faces, so the face count
+    never stops it; the number of products to build does."""
+    assert main(["build", text]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"budget exceeded: expression takes {count} product constructions, "
+        "above the cap of 1000\n"
+    )
+    assert main(["build", "pt^x1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 0
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_the_script_silently():
+    """The output of pt^*9 (over 200 kB) outgrows a pipe's buffer, so the
+    script is still writing when its reader goes away."""
+    src = Path(pp.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from polyprod.cli import entry; entry()", "build", "pt^*9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(16)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
 
 
 def test_exponent_with_too_many_digits_is_a_parse_error(capsys):

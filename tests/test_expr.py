@@ -132,14 +132,17 @@ def test_parse_render_round_trip(ast):
     assert pp.parse_expr(expr.render_expr(ast)) == ast
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(_asts)
 def test_expr_size_matches_built_poset(ast):
+    """eval_expr does not verify what it builds, since products of polytopes
+    are polytopes; this is where that guarantee is checked."""
     size = expr.expr_size(ast)
     if size > 400:
         return
-    P = pp.eval_expr(ast, check=False)
+    P = pp.eval_expr(ast)
     assert len(P) == size
+    assert pp.verify_polytope(P).is_polytope
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -273,7 +273,7 @@ def test_repeated_covers_count_once_and_self_covers_are_cycles():
 def test_verify_then_aut_order_builds_cover_masks_once(mask_builds):
     """The verifier and every search of aut_order read the one pair of
     cover masks kept on P."""
-    P = pp.eval_expr(pp.parse_expr("((I*pt)x(I^x3))*(pt^*2)"), check=False)
+    P = pp.eval_expr(pp.parse_expr("((I*pt)x(I^x3))*(pt^*2)"))
     assert mask_builds == []
     assert pp.verify_polytope(P).is_polytope
     assert pp.aut_order(P) == 576
