@@ -21,7 +21,7 @@ from .poset import (
     point,
     section,
 )
-from .products import cartesian, join, power
+from .products import cartesian, join, power, product
 from .structure import prism_decompose, pyramid_apex_candidates, pyramid_decompose
 from .verify import ValidityReport, verify_polytope
 
@@ -53,6 +53,7 @@ __all__ = [
     "point",
     "power",
     "prism_decompose",
+    "product",
     "pyramid_apex_candidates",
     "pyramid_decompose",
     "root",

@@ -160,8 +160,10 @@ def _cmd_aut(args) -> int:
         print(f"order: {groups.order(descriptor)}")
     elif method == "generators":
         gens = described_generators(node)
+        # the order first, so that a budget error leaves stdout empty
+        order = closure(gens, max_size=args.max_closure)
         print(f"generators: {len(gens)}")
-        print(f"order: {closure(gens, max_size=args.max_closure)}")
+        print(f"order: {order}")
     else:
         P = eval_expr(ast, max_elements=args.max_elements)
         print(f"order: {aut_order(P, max_elements=args.max_elements)}")

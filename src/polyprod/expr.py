@@ -8,6 +8,10 @@ Grammar (whitespace ignored)::
     pow  := atom [ "^*" nat | "^x" nat ]
     atom := "pt" | "I" | "(" expr ")"
 
+The tree has three node kinds: ``Atom(name)``, ``Product(op, left, right)``
+and ``Power(op, base, k)``, where ``op`` is ``products.JOIN`` (written ``*``)
+or ``products.CARTESIAN`` (written ``x``).
+
 An expression may nest at most ``MAX_DEPTH`` levels deep: that many
 parentheses open at once, and that many operators on one path from the root
 of its tree to a leaf. Deeper input is a ``ParseError``, so that no recursion
@@ -23,7 +27,7 @@ from typing import Optional
 from .errors import BudgetExceeded, MixedOperatorsWithoutParens, ParseError
 from .family import JOIN_STEP, TIMES_STEP, FamilyNode, node_for_path
 from .poset import DEFAULT_SEARCH_CAP, PolytopePoset, edge, point
-from .products import CARTESIAN, JOIN, cartesian, join, power
+from .products import CARTESIAN, JOIN, SHARED_FACES, power, product
 
 
 @dataclass(frozen=True)
@@ -32,32 +36,25 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Join:
+class Product:
+    op: str  # products.JOIN or products.CARTESIAN
     left: "ConstructionExpr"
     right: "ConstructionExpr"
 
 
 @dataclass(frozen=True)
-class Cart:
-    left: "ConstructionExpr"
-    right: "ConstructionExpr"
-
-
-@dataclass(frozen=True)
-class JoinPow:
-    base: "ConstructionExpr"
-    k: int
-
-
-@dataclass(frozen=True)
-class CartPow:
+class Power:
+    op: str
     base: "ConstructionExpr"
     k: int
 
 
 # a | union, not typing.Union: typing caches Union objects for the whole
 # process, which would keep this module alive after a re-import
-ConstructionExpr = Atom | Join | Cart | JoinPow | CartPow
+ConstructionExpr = Atom | Product | Power
+
+_SYMBOL = {JOIN: "*", CARTESIAN: "x"}
+_OP = {symbol: op for op, symbol in _SYMBOL.items()}
 
 MAX_DEPTH = 200
 
@@ -143,7 +140,7 @@ class _Parser:
                     "mixing '*' and 'x' in one chain requires parentheses", at
                 )
             rhs, rhs_height = self.pow()
-            node = Join(node, rhs) if op == "*" else Cart(node, rhs)
+            node = Product(_OP[op], node, rhs)
             height = self.nest(max(height, rhs_height), at)
         return node, height
 
@@ -162,7 +159,7 @@ class _Parser:
                 raise ParseError("exponent too large", at) from None
             if k < 1:
                 raise ParseError("exponent must be >= 1", at)
-            node = JoinPow(base, k) if op == "^*" else CartPow(base, k)
+            node = Power(_OP[op[1:]], base, k)
             return node, self.nest(height, at)
         return base, height
 
@@ -195,14 +192,10 @@ def render_expr(e: ConstructionExpr) -> str:
 
     if isinstance(e, Atom):
         return e.name
-    if isinstance(e, Join):
-        return f"{wrap(e.left)} * {wrap(e.right)}"
-    if isinstance(e, Cart):
-        return f"{wrap(e.left)} x {wrap(e.right)}"
-    if isinstance(e, JoinPow):
-        return f"{wrap(e.base)}^*{e.k}"
-    if isinstance(e, CartPow):
-        return f"{wrap(e.base)}^x{e.k}"
+    if isinstance(e, Product):
+        return f"{wrap(e.left)} {_SYMBOL[e.op]} {wrap(e.right)}"
+    if isinstance(e, Power):
+        return f"{wrap(e.base)}^{_SYMBOL[e.op]}{e.k}"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -221,14 +214,12 @@ def _size(e: ConstructionExpr, limit: Optional[int]) -> int:
     exponents."""
     if isinstance(e, Atom):
         size = 2 if e.name == "pt" else 4
-    elif isinstance(e, Join):
-        size = _size(e.left, limit) * _size(e.right, limit)
-    elif isinstance(e, Cart):
-        size = (_size(e.left, limit) - 1) * (_size(e.right, limit) - 1) + 1
-    elif isinstance(e, JoinPow):
-        size = _power(_size(e.base, limit), e.k, limit)
-    elif isinstance(e, CartPow):
-        size = _power(_size(e.base, limit) - 1, e.k, limit) + 1
+    elif isinstance(e, Product):
+        s = SHARED_FACES[e.op]
+        size = (_size(e.left, limit) - s) * (_size(e.right, limit) - s) + s
+    elif isinstance(e, Power):
+        s = SHARED_FACES[e.op]
+        size = _power(_size(e.base, limit) - s, e.k, limit) + s
     else:
         raise TypeError(f"not an expression node: {e!r}")
     return size if limit is None or size < limit else limit
@@ -252,9 +243,9 @@ def _products(e: ConstructionExpr, limit: int) -> int:
     the limit or an exponent."""
     if isinstance(e, Atom):
         count = 0
-    elif isinstance(e, (Join, Cart)):
+    elif isinstance(e, Product):
         count = 1 + _products(e.left, limit) + _products(e.right, limit)
-    elif isinstance(e, (JoinPow, CartPow)):
+    elif isinstance(e, Power):
         count = e.k - 1 + _products(e.base, limit)
     else:
         raise TypeError(f"not an expression node: {e!r}")
@@ -282,26 +273,24 @@ def eval_expr(e: ConstructionExpr, max_elements: int = DEFAULT_SEARCH_CAP) -> Po
     def build(node: ConstructionExpr) -> PolytopePoset:
         if isinstance(node, Atom):
             return point() if node.name == "pt" else edge()
-        if isinstance(node, Join):
-            return join(build(node.left), build(node.right))
-        if isinstance(node, Cart):
-            return cartesian(build(node.left), build(node.right))
-        if isinstance(node, JoinPow):
-            return power(build(node.base), JOIN, node.k)
-        if isinstance(node, CartPow):
-            return power(build(node.base), CARTESIAN, node.k)
+        if isinstance(node, Product):
+            return product(node.op, build(node.left), build(node.right))
+        if isinstance(node, Power):
+            return power(build(node.base), node.op, node.k)
         raise TypeError(f"not an expression node: {node!r}")
 
     return build(e)
 
 
-def _atom_run(e: ConstructionExpr, name: str) -> Optional[int]:
-    """How many copies of the named atom e denotes as a right factor."""
-    if isinstance(e, Atom) and e.name == name:
+# the family step each product makes, and the atom it adds as a right factor
+_FAMILY_STEP = {JOIN: (Atom("pt"), JOIN_STEP), CARTESIAN: (Atom("I"), TIMES_STEP)}
+
+
+def _atom_run(e: ConstructionExpr, op: str, atom: Atom) -> Optional[int]:
+    """How many copies of the atom e denotes as a right factor under op."""
+    if e == atom:
         return 1
-    if name == "pt" and isinstance(e, JoinPow) and e.base == Atom("pt"):
-        return e.k
-    if name == "I" and isinstance(e, CartPow) and e.base == Atom("I"):
+    if isinstance(e, Power) and e.op == op and e.base == atom:
         return e.k
     return None
 
@@ -309,33 +298,17 @@ def _atom_run(e: ConstructionExpr, name: str) -> Optional[int]:
 def _family_steps(e: ConstructionExpr) -> Optional[list[str]]:
     if isinstance(e, Atom):
         return [] if e.name == "I" else None
-    if isinstance(e, Join):
-        run = _atom_run(e.right, "pt")
-        if run is None:
-            return None
-        head = _family_steps(e.left)
-        if head is None:
-            return None
-        return head + [JOIN_STEP] * run
-    if isinstance(e, Cart):
-        run = _atom_run(e.right, "I")
-        if run is None:
-            return None
-        head = _family_steps(e.left)
-        if head is None:
-            return None
-        return head + [TIMES_STEP] * run
-    if isinstance(e, CartPow):
-        if e.k == 1:
-            return _family_steps(e.base)
-        if e.base == Atom("I"):
-            return [TIMES_STEP] * (e.k - 1)
+    if isinstance(e, Power) and e.k == 1:
+        return _family_steps(e.base)
+    atom, step = _FAMILY_STEP[e.op]
+    if isinstance(e, Product):
+        head, run = e.left, _atom_run(e.right, e.op, atom)
+    else:  # atom^k is the atom followed by k - 1 more
+        head, run = e.base, (e.k - 1 if e.base == atom else None)
+    if run is None:
         return None
-    if isinstance(e, JoinPow):
-        if e.k == 1:
-            return _family_steps(e.base)
-        return None
-    return None
+    steps = _family_steps(head)
+    return None if steps is None else steps + [step] * run
 
 
 def expr_to_family(e: ConstructionExpr) -> Optional[FamilyNode]:

@@ -1,6 +1,22 @@
 import pytest
+from hypothesis import strategies as st
 
 from polyprod import cartesian, edge, join, point, power
+from polyprod.expr import Atom, Power, Product
+from polyprod.products import CARTESIAN, JOIN
+
+# random expression trees of up to 6 atoms, for the parser round trips and
+# the properties of built expressions; import it with ``from conftest import asts``
+asts = st.recursive(
+    st.sampled_from(["pt", "I"]).map(Atom),
+    lambda child: st.one_of(
+        st.tuples(child, child).map(lambda t: Product(JOIN, *t)),
+        st.tuples(child, child).map(lambda t: Product(CARTESIAN, *t)),
+        st.tuples(child, st.integers(1, 4)).map(lambda t: Power(JOIN, *t)),
+        st.tuples(child, st.integers(1, 4)).map(lambda t: Power(CARTESIAN, *t)),
+    ),
+    max_leaves=6,
+)
 
 
 @pytest.fixture(scope="session")

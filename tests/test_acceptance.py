@@ -9,9 +9,10 @@ import polyprod as pp
 from polyprod import expr, family, groups
 from polyprod.autom import closure, described_generators
 from polyprod.cli import main
-from polyprod.expr import Atom, Cart, CartPow, Join, JoinPow
 from polyprod.groups import DirectProduct, Hyp, Sym
 from polyprod.poset import from_components
+
+from conftest import asts
 
 
 @pytest.fixture(scope="module")
@@ -179,21 +180,8 @@ def test_criterion_7b_normalization(d):
     assert groups.order(once) == groups.order(d)
 
 
-_atoms = st.sampled_from(["pt", "I"]).map(Atom)
-_asts = st.recursive(
-    _atoms,
-    lambda child: st.one_of(
-        st.tuples(child, child).map(lambda t: Join(*t)),
-        st.tuples(child, child).map(lambda t: Cart(*t)),
-        st.tuples(child, st.integers(1, 4)).map(lambda t: JoinPow(*t)),
-        st.tuples(child, st.integers(1, 4)).map(lambda t: CartPow(*t)),
-    ),
-    max_leaves=6,
-)
-
-
 @settings(max_examples=120, deadline=None)
-@given(_asts)
+@given(asts)
 def test_criterion_7c_parser_round_trip(ast):
     assert pp.parse_expr(expr.render_expr(ast)) == ast
 

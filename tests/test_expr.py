@@ -4,28 +4,32 @@ from hypothesis import given, settings, strategies as st
 import polyprod as pp
 from polyprod import expr
 from polyprod.errors import BudgetExceeded, MixedOperatorsWithoutParens, ParseError
-from polyprod.expr import Atom, Cart, CartPow, Join, JoinPow
+from polyprod.expr import Atom, Power, Product
+from polyprod.products import CARTESIAN, JOIN
+
+from conftest import asts
 
 
 def test_parse_nested_expression():
     ast = pp.parse_expr("((I*pt)x(I^x3))*(pt^*2)")
-    assert ast == Join(
-        Cart(Join(Atom("I"), Atom("pt")), CartPow(Atom("I"), 3)),
-        JoinPow(Atom("pt"), 2),
+    assert ast == Product(
+        JOIN,
+        Product(CARTESIAN, Product(JOIN, Atom("I"), Atom("pt")), Power(CARTESIAN, Atom("I"), 3)),
+        Power(JOIN, Atom("pt"), 2),
     )
 
 
 def test_parse_cart_power():
-    assert pp.parse_expr("I^x3") == CartPow(Atom("I"), 3)
+    assert pp.parse_expr("I^x3") == Power(CARTESIAN, Atom("I"), 3)
 
 
 def test_parse_join_power():
-    assert pp.parse_expr("pt^*4") == JoinPow(Atom("pt"), 4)
+    assert pp.parse_expr("pt^*4") == Power(JOIN, Atom("pt"), 4)
 
 
 def test_parse_chain_same_operator():
-    assert pp.parse_expr("pt * pt * pt") == Join(
-        Join(Atom("pt"), Atom("pt")), Atom("pt")
+    assert pp.parse_expr("pt * pt * pt") == Product(
+        JOIN, Product(JOIN, Atom("pt"), Atom("pt")), Atom("pt")
     )
 
 
@@ -36,7 +40,7 @@ def test_mixed_operators_rejected():
 
 def test_mixed_operators_fine_with_parens():
     ast = pp.parse_expr("(I*pt) x pt")
-    assert ast == Cart(Join(Atom("I"), Atom("pt")), Atom("pt"))
+    assert ast == Product(CARTESIAN, Product(JOIN, Atom("I"), Atom("pt")), Atom("pt"))
 
 
 def test_parse_error_position():
@@ -58,7 +62,7 @@ def test_parse_error_zero_exponent():
 
 
 def test_whitespace_ignored():
-    assert pp.parse_expr("  I ^x 3 ") == CartPow(Atom("I"), 3)
+    assert pp.parse_expr("  I ^x 3 ") == Power(CARTESIAN, Atom("I"), 3)
 
 
 def test_eval_tetrahedron():
@@ -103,6 +107,25 @@ def test_expr_to_family_simple():
     assert node is not None and node.path == ()
 
 
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ("I x I^x2", ("xI", "xI")),
+        ("I * pt^*2", ("*pt", "*pt")),
+        ("(I*pt)^x1", ("*pt",)),
+        ("I^x1 * pt", ("*pt",)),
+        ("I^*2", None),
+        ("(IxI)^x2", None),
+        ("I*pt^x2", None),
+    ],
+)
+def test_expr_to_family_cases(text, path):
+    """A power k = 1 is its base; a right factor must be a run of the
+    product's own atom (pt for *, I for x) under the product's own power."""
+    node = pp.expr_to_family(pp.parse_expr(text))
+    assert (None if node is None else node.path) == path
+
+
 def test_family_node_matches_eval():
     for text in ["I", "I^x2", "I*pt", "(I*pt)xI", "(IxI)*pt", "I^x3"]:
         node = pp.expr_to_family(pp.parse_expr(text))
@@ -111,29 +134,14 @@ def test_family_node_matches_eval():
         assert pp.is_isomorphic(built, node.polytope) is not None, text
 
 
-_atoms = st.sampled_from(["pt", "I"]).map(Atom)
-
-
-def _extend(children):
-    return st.one_of(
-        st.tuples(children, children).map(lambda t: Join(*t)),
-        st.tuples(children, children).map(lambda t: Cart(*t)),
-        st.tuples(children, st.integers(1, 4)).map(lambda t: JoinPow(*t)),
-        st.tuples(children, st.integers(1, 4)).map(lambda t: CartPow(*t)),
-    )
-
-
-_asts = st.recursive(_atoms, _extend, max_leaves=6)
-
-
 @settings(max_examples=150, deadline=None)
-@given(_asts)
+@given(asts)
 def test_parse_render_round_trip(ast):
     assert pp.parse_expr(expr.render_expr(ast)) == ast
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_asts)
+@given(asts)
 def test_expr_size_matches_built_poset(ast):
     """eval_expr does not verify what it builds, since products of polytopes
     are polytopes; this is where that guarantee is checked."""
@@ -146,7 +154,7 @@ def test_expr_size_matches_built_poset(ast):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_asts, st.integers(2, 10**6))
+@given(asts, st.integers(2, 10**6))
 def test_clamped_size_is_the_size_or_the_limit(ast, limit):
     """The size eval_expr checks against its cap is exact below the limit,
     and the limit itself from there on."""

@@ -133,3 +133,35 @@ def test_join_with_pt_has_apex(small_corpus):
     for name in ("I", "triangle", "square"):
         P = pp.join(small_corpus[name], pp.point())
         assert pp.pyramid_apex_candidates(P)
+
+
+
+def test_product_and_power_reject_unknown_op(seg):
+    with pytest.raises(ValueError, match="unknown product"):
+        pp.product("meet", seg, seg)
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="unknown product"):
+            pp.power(seg, "meet", k)
+
+
+def _edge(a, b):
+    """I with vertex ids a and b."""
+    return pp.from_components(
+        [("lo", -1), (a, 0), (b, 0), ("hi", 1)], [("lo", a), ("lo", b), (a, "hi"), (b, "hi")]
+    )
+
+
+@pytest.mark.parametrize("op", ["join", "cartesian"])
+@pytest.mark.parametrize(
+    "left, right, labels",
+    [
+        # "(a|b|c)" twice: ("a|b", "c") and ("a", "b|c")
+        (("a", "a|b"), ("c", "b|c"), ["('a|b'|'c')", "('a'|'b|c')"]),
+        # "(1|c)" twice: (1, "c") and ("1", "c")
+        ((1, "1"), ("c", "d"), ["(1|'c')", "('1'|'c')"]),
+    ],
+)
+def test_product_relabels_with_reprs_when_labels_collide(seg, op, left, right, labels):
+    P = pp.product(op, _edge(*left), _edge(*right))
+    assert set(labels) <= set(P.labels)
+    assert pp.is_isomorphic(P, pp.product(op, seg, seg)) is not None
