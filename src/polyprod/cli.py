@@ -19,6 +19,11 @@ products of polytopes are polytopes. ``verify EXPR`` is the one command
 that runs the axiom checker on an expression.
 
 ``family --steps N`` with N < 0 exits 2 with ``parse error: ...`` on stderr.
+When step N has more nodes than ``--max-elements`` (2^N above the cap), it
+exits 4 with one ``budget exceeded: family step N has 2^N nodes, above the
+cap of C`` line, before any node is built. Group orders of 10^4300 or more
+(``aut --method formula``, ``family``) print as "at least 10^4300", as
+expression sizes do.
 ``build -o PATH`` exits 2, with ``cannot write output: ...`` on stderr and
 nothing on stdout, when PATH cannot be opened for writing.
 
@@ -45,7 +50,7 @@ import sys
 from . import groups, poset
 from .autom import DEFAULT_CLOSURE_CAP, aut_order, closure, described_generators
 from .errors import BudgetExceeded, ParseError, PolytopeError
-from .expr import eval_expr, expr_to_family, parse_expr
+from .expr import eval_expr, expr_to_family, format_count, parse_expr
 from .family import aut_descriptor, enumerate_family, node_to_json
 from .structure import prism_decompose, pyramid_decompose
 from .verify import verify_polytope
@@ -96,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_build(args) -> int:
     P = eval_expr(parse_expr(args.expr), max_elements=args.max_elements)
     if args.out == "json":
-        text = json.dumps(poset.to_json(P), indent=2)
+        text = poset._to_json_text(P)
     else:
         text = poset.to_dot(P)
     if args.output:
@@ -157,7 +162,7 @@ def _cmd_aut(args) -> int:
     if method == "formula":
         descriptor = aut_descriptor(node)
         print(f"descriptor: {groups.render(descriptor)}")
-        print(f"order: {groups.order(descriptor)}")
+        print(f"order: {format_count(groups.order(descriptor))}")
     elif method == "generators":
         gens = described_generators(node)
         # the order first, so that a budget error leaves stdout empty
@@ -177,13 +182,19 @@ def _cmd_decompose(args) -> int:
     if Q is None:
         print("none")
     else:
-        print(json.dumps(poset.to_json(Q), indent=2))
+        print(poset._to_json_text(Q))
     return EXIT_OK
 
 
 def _cmd_family(args) -> int:
     if args.steps < 0:
         raise ParseError(f"--steps must be >= 0, got {args.steps}")
+    # 2**steps > cap, tested without building 2**steps
+    if args.steps >= max(args.max_elements, 0).bit_length():
+        raise BudgetExceeded(
+            f"family step {args.steps} has 2^{args.steps} nodes, "
+            f"above the cap of {args.max_elements}"
+        )
     nodes = enumerate_family(args.steps)
     if args.json:
         print(json.dumps([node_to_json(n) for n in nodes], indent=2))
@@ -193,7 +204,7 @@ def _cmd_family(args) -> int:
             path = ",".join(n.path) if n.path else "(root)"
             print(
                 f"path={path} k={n.k} prod={n.prod} "
-                f"aut={groups.render(d)} order={groups.order(d)}"
+                f"aut={groups.render(d)} order={format_count(groups.order(d))}"
             )
     return EXIT_OK
 

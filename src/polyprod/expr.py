@@ -58,8 +58,9 @@ _OP = {symbol: op for op, symbol in _SYMBOL.items()}
 
 MAX_DEPTH = 200
 
-# sizes below 10^EXACT_DIGITS are reported exactly, larger ones as "at least";
-# Python formats ints of at most 4300 digits by default
+# sizes and group orders below 10^EXACT_DIGITS are printed exactly, larger
+# ones as "at least" (``format_count``); Python formats ints of at most 4300
+# digits by default
 _EXACT_DIGITS = 4300
 _EXACT_BELOW = 10**_EXACT_DIGITS
 
@@ -252,10 +253,16 @@ def _products(e: ConstructionExpr, limit: int) -> int:
     return min(count, limit)
 
 
+def format_count(count: int) -> str:
+    """The count in decimal, or "at least 10^4300" from 10^4300 on, where
+    Python stops converting ints to text by default."""
+    return str(count) if count < _EXACT_BELOW else f"at least 10^{_EXACT_DIGITS}"
+
+
 def _within_budget(template: str, count: int, cap: int) -> None:
     """Raise BudgetExceeded, naming the count, when count passes the cap."""
     if count > cap:
-        shown = count if count < _EXACT_BELOW else f"at least 10^{_EXACT_DIGITS}"
+        shown = format_count(count)
         raise BudgetExceeded(f"expression {template.format(shown)}, above the cap of {cap}")
 
 

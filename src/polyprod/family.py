@@ -53,30 +53,29 @@ def children(node: FamilyNode) -> tuple[FamilyNode, FamilyNode]:
     triangle I * pt equals pt * pt * pt, so it restarts with A trivial and
     k = 3 rather than following the inductive rule.
     """
-    times_path = node.path + (TIMES_STEP,)
-    if node.prod == CARTESIAN:
-        times_child = FamilyNode(A=node.A, k=node.k + 1, prod=CARTESIAN, path=times_path)
-    else:
-        times_child = FamilyNode(
-            A=groups.normalize(groups.direct(node.A, Sym(node.k))),
-            k=1,
-            prod=CARTESIAN,
-            path=times_path,
-        )
+    state = (node.A, node.k, node.prod, not node.path)
+    return tuple(
+        FamilyNode(*_step(*state, step), path=node.path + (step,))
+        for step in (TIMES_STEP, JOIN_STEP)
+    )
 
-    join_path = node.path + (JOIN_STEP,)
-    if not node.path:
-        join_child = FamilyNode(A=groups.TRIVIAL, k=3, prod=JOIN, path=join_path)
-    elif node.prod == CARTESIAN:
-        join_child = FamilyNode(
-            A=groups.normalize(groups.direct(node.A, Hyp(node.k))),
-            k=1,
-            prod=JOIN,
-            path=join_path,
-        )
-    else:
-        join_child = FamilyNode(A=node.A, k=node.k + 1, prod=JOIN, path=join_path)
-    return times_child, join_child
+
+def _step(
+    A: GroupDescriptor, k: int, prod: str, at_root: bool, step: str
+) -> tuple[GroupDescriptor, int, str]:
+    """The state (A, k, prod) of the child that ``step`` reaches from a node
+    in state (A, k, prod); ``at_root`` when that node is the root."""
+    if step == TIMES_STEP:
+        if prod == CARTESIAN:
+            return A, k + 1, CARTESIAN
+        return groups.normalize(groups.direct(A, Sym(k))), 1, CARTESIAN
+    if step == JOIN_STEP:
+        if at_root:
+            return groups.TRIVIAL, 3, JOIN
+        if prod == CARTESIAN:
+            return groups.normalize(groups.direct(A, Hyp(k))), 1, JOIN
+        return A, k + 1, JOIN
+    raise ValueError(f"unknown construction step {step!r}")
 
 
 def aut_descriptor(node: FamilyNode) -> GroupDescriptor:
@@ -102,16 +101,15 @@ def enumerate_family(steps: int) -> list[FamilyNode]:
 
 
 def node_for_path(path) -> FamilyNode:
-    node = root()
-    for step in path:
-        times_child, join_child = children(node)
-        if step == TIMES_STEP:
-            node = times_child
-        elif step == JOIN_STEP:
-            node = join_child
-        else:
-            raise ValueError(f"unknown construction step {step!r}")
-    return node
+    """The node reached from the root by ``path``, in time linear in its
+    length: each step computes the state of the one child it takes, and the
+    path is stored once, at the end."""
+    path = tuple(path)
+    start = root()
+    A, k, prod = start.A, start.k, start.prod
+    for i, step in enumerate(path):
+        A, k, prod = _step(A, k, prod, i == 0, step)
+    return FamilyNode(A=A, k=k, prod=prod, path=path)
 
 
 def node_to_json(node: FamilyNode) -> dict:

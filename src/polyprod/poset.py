@@ -16,6 +16,7 @@ serializers.
 
 from __future__ import annotations
 
+import json
 from typing import Iterator, Optional
 
 from .errors import (
@@ -496,6 +497,29 @@ def to_json(P: PolytopePoset) -> dict:
         "elements": [{"id": eid, "rank": rk} for eid, rk in zip(P.labels, P.ranks)],
         "covers": sorted([a, b] for a, b in _label_covers(P)),
     }
+
+
+def _to_json_text(P: PolytopePoset) -> str:
+    """``json.dumps(to_json(P), indent=2)``, byte for byte, without the dict.
+
+    With ``indent`` set, ``json.dumps`` encodes in pure Python; here each
+    label is encoded once, by the C encoder, and the fixed layout of the
+    three fields is written around the encoded labels. The covers are
+    sorted as ``to_json`` sorts them, by (label a, label b)."""
+    labels = P.labels
+    ids = [json.dumps(eid) for eid in labels]
+    elements = ",\n".join(
+        f'    {{\n      "id": {i},\n      "rank": {rk}\n    }}' for i, rk in zip(ids, P.ranks)
+    )
+    pairs = sorted(
+        (labels[a], labels[b], a, b) for a, ups in enumerate(P.upper) for b in ups
+    )
+    if pairs:
+        covers = ",\n".join(f"    [\n      {ids[a]},\n      {ids[b]}\n    ]" for *_, a, b in pairs)
+        covers = f"[\n{covers}\n  ]"
+    else:
+        covers = "[]"
+    return f'{{\n  "rank": {P.rank},\n  "elements": [\n{elements}\n  ],\n  "covers": {covers}\n}}'
 
 
 _SCALAR = (str, int, float)

@@ -92,3 +92,20 @@ def mask_builds(monkeypatch):
     for module in (poset, verify):
         monkeypatch.setattr(module, "_cover_masks", counting)
     return builds
+
+
+@pytest.fixture
+def exact_tests(monkeypatch):
+    """How many times the verifier falls back to its exact connectivity
+    test ``verify._connected``: one count per section it decides."""
+    from polyprod import verify
+
+    calls = []
+    connected = verify._connected
+
+    def counting(*args):
+        calls.append(args)
+        return connected(*args)
+
+    monkeypatch.setattr(verify, "_connected", counting)
+    return calls

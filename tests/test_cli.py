@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -272,10 +273,10 @@ def test_only_verify_runs_the_verifier(monkeypatch, capsys, argv, runs):
     walks = []
     intervals = verify._intervals
 
-    def counting(P, gaps):
+    def counting(P, gaps, *rest):
         if 2 in gaps:
             walks.append(P)
-        return intervals(P, gaps)
+        return intervals(P, gaps, *rest)
 
     monkeypatch.setattr(verify, "_intervals", counting)
     assert main(argv) == 0
@@ -319,6 +320,47 @@ def test_family_negative_steps(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "parse error: --steps must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "steps, cap, code",
+    [(9, None, 0), (10, None, 4), (4000, None, 4), (10, 1024, 0), (11, 2047, 4), (0, 0, 4)],
+)
+def test_family_steps_budget(capsys, steps, cap, code):
+    """Step N has 2^N nodes; above --max-elements (default 1000) the listing
+    exits 4 with one line, before building any node, so that step 4000
+    returns at once."""
+    argv = ["family", "--steps", str(steps)]
+    if cap is not None:
+        argv = ["--max-elements", str(cap)] + argv
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert len(captured.out.splitlines()) == 2**steps and captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err == (
+            f"budget exceeded: family step {steps} has 2^{steps} nodes, "
+            f"above the cap of {1000 if cap is None else cap}\n"
+        )
+
+
+def test_formula_order_beyond_4300_digits(capsys):
+    """|Hyp(10000)| has more digits than Python prints by default; the order
+    reads "at least 10^4300", as expression sizes do."""
+    assert main(["aut", "I^x10000", "--method", "formula"]) == 0
+    assert capsys.readouterr() == (
+        "descriptor: (Z/2Z)^10000 ⋊ Sym(10000)\norder: at least 10^4300\n", ""
+    )
+
+
+def test_formula_on_a_long_family_path(capsys):
+    """The family node of I^x100000 is found in time linear in its path, and
+    its order, of over 450000 digits, prints as a bound."""
+    start = time.perf_counter()
+    assert main(["aut", "I^x100000", "--method", "formula"]) == 0
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.endswith("Sym(100000)\norder: at least 10^4300\n")
 
 
 def test_build_to_unwritable_path(tmp_path, capsys):

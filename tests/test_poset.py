@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 import polyprod as pp
 from polyprod import poset
+from polyprod.expr import expr_size
 from polyprod.errors import (
     DanglingCover,
     DuplicateId,
@@ -14,6 +15,7 @@ from polyprod.errors import (
     UnknownId,
 )
 
+from conftest import asts
 from oracles import naive_leq, naive_maximal_chains, naive_interval
 from test_verify import _ranked_posets
 
@@ -278,3 +280,43 @@ def test_verify_then_aut_order_builds_cover_masks_once(mask_builds):
     assert pp.verify_polytope(P).is_polytope
     assert pp.aut_order(P) == 576
     assert len(mask_builds) == 1 and mask_builds[0] is P
+
+
+def _dumped(P):
+    return json.dumps(poset.to_json(P), indent=2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(asts)
+def test_json_text_equals_json_dumps_on_built_posets(ast):
+    """The JSON writer of ``build`` and ``decompose`` prints what
+    ``json.dumps(to_json(P), indent=2)`` prints, byte for byte."""
+    if expr_size(ast) > 300:
+        return
+    P = pp.eval_expr(ast)
+    assert poset._to_json_text(P) == _dumped(P)
+
+
+@pytest.mark.parametrize(
+    "elements, covers",
+    [
+        # int, float and bool ids, as from_json accepts them
+        ([(0, -1), (2.5, 0), (-7, 0), (True, 1)], [(0, 2.5), (0, -7), (2.5, True), (-7, True)]),
+        # quotes, backslashes and non-ASCII text must be escaped as json does
+        (
+            [("0", -1), ('say "hi"', 0), ("back\\slash", 0), ("été ☃", 1)],
+            [("0", 'say "hi"'), ("0", "back\\slash"), ('say "hi"', "été ☃"),
+             ("back\\slash", "été ☃")],
+        ),
+        # one face and no covers: the cover list is written as []
+        ([("only", -1)], []),
+    ],
+    ids=["numbers", "escapes", "one-face"],
+)
+def test_json_text_equals_json_dumps_on_stored_posets(elements, covers):
+    data = {
+        "elements": [{"id": eid, "rank": rk} for eid, rk in elements],
+        "covers": [list(c) for c in covers],
+    }
+    P = poset.from_json(json.loads(json.dumps(data)), check=False)
+    assert poset._to_json_text(P) == _dumped(P)

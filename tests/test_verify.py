@@ -1,10 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyprod as pp
-from polyprod import family
+from polyprod import family, verify
 from polyprod.errors import PolytopeError
+from polyprod.expr import eval_expr, parse_expr
 from polyprod.poset import from_components
 
 from oracles import naive_violations
@@ -245,3 +247,49 @@ def test_connectivity_needs_a_second_pass_over_the_coatoms():
     report = pp.verify_polytope(P)
     assert report.diamond_ok and report.connectivity_violations == []
     assert report.is_polytope
+
+
+
+_FAMILY_THROUGH_STEP_4 = [n.path for steps in range(5) for n in family.enumerate_family(steps)]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [*_FAMILY_THROUGH_STEP_4, "pt^*9", "((I*pt)x(I^x3))*(pt^*2)"],
+    ids=lambda shape: shape if isinstance(shape, str) else ",".join(shape) or "I",
+)
+def test_ridges_certify_every_section_of_a_polytope(shape, exact_tests):
+    """In a polytope the facets of every section are connected through its
+    ridges, so the ridge certificate leaves no section open and the exact
+    test never runs: on every family node through step 4, on pt^*9 and on
+    the worked example."""
+    if isinstance(shape, str):
+        P = eval_expr(parse_expr(shape))
+    else:
+        P = family.node_for_path(shape).polytope
+    assert not any(verify._uncertified(P))
+    assert pp.verify_polytope(P).is_polytope
+    assert exact_tests == []
+
+
+def test_section_connected_only_through_a_vertex_goes_to_the_exact_test(exact_tests):
+    """A bowtie: two triangles H and K under one top G, sharing only the
+    vertex v. The section (bottom, G) is connected, but only through v, which
+    is no ridge, so the certificate leaves it to the exact test, which
+    passes it. In the section (v, G) the edges of H and those of K never
+    meet: it is disconnected and must be reported. Every other vertex lies
+    under one triangle only, so these two are the only exact tests."""
+    triangles = {"H": "vab", "K": "vcd"}
+    elements = [("0", -1), ("G", 3)]
+    covers = []
+    for t, (p, q, r) in triangles.items():
+        edges = {p + q: (p, q), q + r: (q, r), r + p: (r, p)}
+        elements += [(t, 2)] + [(e, 1) for e in edges]
+        covers += [(t, "G")] + [(e, t) for e in edges]
+        covers += [(x, e) for e, ends in edges.items() for x in ends]
+    elements += [(x, 0) for x in "vabcd"]
+    covers += [("0", x) for x in "vabcd"]
+    P = from_components(elements, covers, check=False)
+    report = pp.verify_polytope(P)
+    assert report.connectivity_violations == [("v", "G")]
+    assert len(exact_tests) == 2
