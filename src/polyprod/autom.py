@@ -4,6 +4,7 @@ recursive generating sets for polytopes of the inductive family."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ClosureBudgetExceeded
 from .family import JOIN_STEP, TIMES_STEP
@@ -118,9 +119,9 @@ def aut_order(P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP) -> int:
 
     Every search is a call of the public ``order_isomorphisms``, which
     reads two tables kept on P: the search tables (signatures and signature
-    masks), built by the first search, and the cover masks, built by the
-    first search or by an earlier ``verify_polytope`` of P. Later searches
-    build neither.
+    masks), built by the first search from P's reachability bitsets, and
+    the cover masks, built by the first search or by an earlier
+    ``verify_polytope`` of P. Later searches build neither.
     """
     flag = _base_flag(P)
     found: list[tuple[int, ...]] = []
@@ -159,6 +160,10 @@ def closure(
     search, storing flags rather than group elements. On a poset that is
     not a polytope the count can fall short of the group order.
 
+    Flags are tuples of faces and generators tuples of images, so the
+    image of a flag under a generator is one C call: ``itemgetter(*flag)``
+    is made once per frontier flag and applied to each generator.
+
     Each generator is first checked to be a rank- and cover-preserving
     bijection (``ValueError`` otherwise). ``ClosureBudgetExceeded`` is
     raised once the orbit, and so the group, exceeds ``max_size``.
@@ -169,13 +174,18 @@ def closure(
         g.validate()
     gens = [g.mapping for g in generators]
     base = tuple(_base_flag(generators[0].poset))
+    if len(base) == 1:
+        # itemgetter of one index returns the bare face, not a 1-tuple; the
+        # flag (f, f) has one image per image of f, so the count is the same
+        base *= 2
     seen = {base}
     frontier = [base]
     while frontier:
         new = []
         for flag in frontier:
+            images = itemgetter(*flag)
             for g in gens:
-                image = tuple(g[x] for x in flag)
+                image = images(g)
                 if image not in seen:
                     seen.add(image)
                     new.append(image)

@@ -35,9 +35,11 @@ class FamilyNode:
 
     @cached_property
     def polytope(self) -> PolytopePoset:
-        P = edge()
+        # posets are immutable, so each atom is built once and shared
+        I, pt = edge(), point()
+        P = I
         for step in self.path:
-            P = cartesian(P, edge()) if step == TIMES_STEP else join(P, point())
+            P = cartesian(P, I) if step == TIMES_STEP else join(P, pt)
         return P
 
 
@@ -113,12 +115,19 @@ def node_for_path(path) -> FamilyNode:
 
 
 def node_to_json(node: FamilyNode) -> dict:
+    """The node's state and group as JSON data. ``order`` is the group order
+    as an int below 10^4300 and, from there on, the string "at least
+    10^4300" that ``expr.format_count`` gives, since ``json.dumps`` cannot
+    write an int of more than 4300 digits."""
+    from .expr import _EXACT_BELOW, format_count  # here: expr imports this module
+
     descriptor = aut_descriptor(node)
+    order = groups.order(descriptor)
     return {
         "path": list(node.path),
         "k": node.k,
         "prod": node.prod,
         "A": groups.to_json(node.A),
         "aut": groups.render(descriptor),
-        "order": groups.order(descriptor),
+        "order": order if order < _EXACT_BELOW else format_count(order),
     }

@@ -1,14 +1,17 @@
 """Ranked face posets: the carrier type plus sections, flags and isomorphism.
 
 Faces are the indices 0..n-1. A polytope is stored as its Hasse diagram
-(the upper and lower covers of every face) together with precomputed
-reachability bitsets, so order queries, sections and the backtracking
-searches are all cheap bit operations. Each order table is derived once per
-poset, in one place: the constructor orders the faces topologically (which
-also rejects cover cycles) and folds both reachability bitsets along that
-order; the cover masks are built on first read by ``_cover_masks`` and
-shared by the verifier and the searches; the search tables are built on
-the first search by ``_search_tables``. Each face also has a string id, its
+(the upper and lower covers of every face); its order tables are bitsets,
+so order queries, sections and the backtracking searches are all cheap bit
+operations. The constructor orders the faces topologically, which rejects
+cover cycles, and builds no table. Each order table is derived once per
+poset, in one place, on its first read: the reachability bitsets ``above``
+and ``below`` by ``_closures``, folded along a topological order, for the
+verifier, the search signatures, ``section``, the decomposition oracles and
+``less_eq``/``up_mask``; the cover masks by ``_cover_masks``, shared by the
+verifier and the searches; the search tables by ``_search_tables``. A
+poset that only feeds a product, is written out or has its flags permuted
+builds none of them. Each face also has a string id, its
 label. Labels are translated to faces and back only in this module: by the
 label API on the poset, by ``from_components``/``from_json`` and by the
 serializers.
@@ -46,11 +49,13 @@ class PolytopePoset:
 
     Face i has label ``labels[i]`` and rank ``ranks[i]``; ``upper[i]`` and
     ``lower[i]`` are its upper and lower covers in ascending order, and
-    ``above[i]``/``below[i]`` the bitmasks of the faces >= i and <= i.
+    ``above[i]``/``below[i]`` the bitmasks of the faces >= i and <= i,
+    read-only properties built on their first read.
     ``bottom_face``/``top_face`` are the unique faces of least and greatest
     rank, or None. The methods taking or returning ids are the label API.
-    The private slots ``_search`` and ``_masks`` hold the search tables and
-    the cover masks once read (see ``_search_tables``, ``_cover_masks``).
+    The private slots ``_above``/``_below``, ``_search`` and ``_masks`` hold
+    the reachability bitsets, the search tables and the cover masks once
+    read (see ``_closures``, ``_search_tables``, ``_cover_masks``).
     """
 
     __slots__ = (
@@ -59,13 +64,13 @@ class PolytopePoset:
         "rank",
         "upper",
         "lower",
-        "above",
-        "below",
         "bottom_face",
         "top_face",
         "_index",
         "_search",
         "_masks",
+        "_above",
+        "_below",
     )
 
     def __init__(self, labels, ranks, covers, check=True):
@@ -74,14 +79,16 @@ class PolytopePoset:
         face set are always rejected; with ``check`` the first structural
         violation (see ``violations``) is raised too."""
         self.labels = tuple(labels)
-        self.ranks = tuple(ranks)
+        self.ranks = ranks = tuple(ranks)
         n = len(self.labels)
-        self._index = {}
-        self._search = self._masks = None
-        for i, eid in enumerate(self.labels):
-            if eid in self._index:
-                raise DuplicateId(f"duplicate element id {eid!r}")
-            self._index[eid] = i
+        self._index = dict(zip(self.labels, range(n)))
+        self._search = self._masks = self._above = self._below = None
+        if len(self._index) < n:
+            seen = set()
+            for eid in self.labels:
+                if eid in seen:
+                    raise DuplicateId(f"duplicate element id {eid!r}")
+                seen.add(eid)
         if not n:
             raise NotBounded("poset has no elements")
 
@@ -92,20 +99,28 @@ class PolytopePoset:
             lower[b].append(a)
         self.upper = tuple(tuple(sorted(u)) for u in upper)
         self.lower = tuple(tuple(sorted(l)) for l in lower)
+        _topological_order(self.upper, self.lower)
 
-        self.above, self.below = _closures(self.upper, self.lower)
-
-        min_rank = min(self.ranks)
-        self.rank = max(self.ranks)
-        bottoms = [i for i in range(n) if self.ranks[i] == min_rank]
-        tops = [i for i in range(n) if self.ranks[i] == self.rank]
-        self.bottom_face = bottoms[0] if len(bottoms) == 1 else None
-        self.top_face = tops[0] if len(tops) == 1 else None
+        min_rank = min(ranks)
+        self.rank = max(ranks)
+        self.bottom_face = ranks.index(min_rank) if ranks.count(min_rank) == 1 else None
+        self.top_face = ranks.index(self.rank) if ranks.count(self.rank) == 1 else None
 
         if check:
             first = next(self.violations(), None)
             if first is not None:
                 raise first
+
+    @property
+    def above(self) -> tuple[int, ...]:
+        """The bitmask of the faces >= each face, built on the first read
+        of ``above`` or ``below`` (see ``_closures``)."""
+        return _closures(self)[0] if self._above is None else self._above
+
+    @property
+    def below(self) -> tuple[int, ...]:
+        """The bitmask of the faces <= each face, built with ``above``."""
+        return _closures(self)[1] if self._below is None else self._below
 
     # -- construction checks ------------------------------------------------
 
@@ -122,14 +137,22 @@ class PolytopePoset:
                     yield NotGraded(
                         f"cover ({labels[a]!r}, {labels[b]!r}) does not raise rank by exactly 1"
                     )
-        full = (1 << len(labels)) - 1
         if min(ranks) != -1:
             yield NotBounded("minimal rank must be -1")
         elif self.bottom_face is None:
             yield NotBounded("more than one element of minimal rank")
         elif self.top_face is None:
             yield NotBounded("more than one element of maximal rank")
-        elif self.above[self.bottom_face] != full or self.below[self.top_face] != full:
+        # the covers are acyclic, so every face is >= the bottom exactly when
+        # the bottom is the one face without a lower cover (walk down from
+        # any face), and every face is <= the top exactly when the top is
+        # the one face without an upper cover
+        elif (
+            self.lower[self.bottom_face]
+            or self.upper[self.top_face]
+            or self.lower.count(()) != 1
+            or self.upper.count(()) != 1
+        ):
             yield NotBounded("not every element lies between bottom and top")
         for i, rk in enumerate(ranks):
             if rk > -1 and not self.lower[i]:
@@ -187,30 +210,42 @@ class PolytopePoset:
         return self.above[self.face(eid)]
 
 
-def _closures(upper, lower) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The masks of the faces >= and <= each face, folded along one Kahn
-    topological order of the covers; faces on or above a cycle never enter it."""
-    n = len(upper)
+def _topological_order(upper, lower) -> list[int]:
+    """One Kahn topological order of the faces along their covers; faces on
+    or above a cycle never enter it, so NotGraded when it falls short."""
     waiting = [len(l) for l in lower]
-    order = [i for i in range(n) if not waiting[i]]
-    above, below = [0] * n, [0] * n
+    order = [i for i, w in enumerate(waiting) if not w]
     for i in order:  # the order grows while it is walked
-        m = 1 << i
-        for j in lower[i]:
-            m |= below[j]
-        below[i] = m
         for j in upper[i]:
             waiting[j] -= 1
             if not waiting[j]:
                 order.append(j)
-    if len(order) < n:
+    if len(order) < len(upper):
         raise NotGraded("cover relation contains a cycle")
+    return order
+
+
+def _closures(P: PolytopePoset) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The masks of the faces >= and <= each face, folded along a topological
+    order of the covers, built on the first read of ``P.above`` or
+    ``P.below`` and kept in P's ``_above``/``_below`` slots (P is
+    immutable). The constructor has rejected cycles, so the order is whole."""
+    upper, lower = P.upper, P.lower
+    order = _topological_order(upper, lower)
+    n = len(order)
+    above, below = [0] * n, [0] * n
+    for i in order:
+        m = 1 << i
+        for j in lower[i]:
+            m |= below[j]
+        below[i] = m
     for i in reversed(order):
         m = 1 << i
         for j in upper[i]:
             m |= above[j]
         above[i] = m
-    return tuple(above), tuple(below)
+    P._above, P._below = tuple(above), tuple(below)
+    return P._above, P._below
 
 
 def _label_covers(P: PolytopePoset) -> Iterator[tuple[str, str]]:

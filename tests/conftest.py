@@ -95,6 +95,24 @@ def mask_builds(monkeypatch):
 
 
 @pytest.fixture
+def closure_builds(monkeypatch):
+    """The posets whose reachability tables (``above``/``below``) get built,
+    in order: the tables are built on their first read, by one call of
+    ``poset._closures``."""
+    from polyprod import poset
+
+    builds = []
+    closures = poset._closures
+
+    def counting(P):
+        builds.append(P)
+        return closures(P)
+
+    monkeypatch.setattr(poset, "_closures", counting)
+    return builds
+
+
+@pytest.fixture
 def exact_tests(monkeypatch):
     """How many times the verifier falls back to its exact connectivity
     test ``verify._connected``: one count per section it decides."""

@@ -80,6 +80,17 @@ def test_closure_involution(seg):
     assert closure([swap]) == 2
 
 
+@pytest.mark.parametrize(
+    "labels, ranks, mapping, order",
+    [(("0",), (-1,), (0,), 1), (("a", "b"), (-1, -1), (1, 0), 2)],
+    ids=["one-face polytope", "two bottoms swapped"],
+)
+def test_closure_counts_one_face_flags(labels, ranks, mapping, order):
+    """A base flag of one face: its images are counted as faces, one each."""
+    P = poset.PolytopePoset(labels, ranks, [], check=False)
+    assert closure([FacePermutation(P, mapping)]) == order
+
+
 def test_closure_empty():
     assert closure([]) == 1
 

@@ -1,3 +1,7 @@
+import json
+
+import pytest
+
 import polyprod as pp
 from polyprod import family, groups
 from polyprod.groups import DirectProduct, Hyp, Sym
@@ -138,6 +142,24 @@ def test_node_json():
     assert data["prod"] == "cartesian"
     assert data["order"] == 8
     assert data["A"] == {"kind": "prod", "factors": []}
+
+
+def test_polytope_builds_each_atom_once(monkeypatch):
+    """A family polytope costs one edge, one point and one product a step."""
+    built = _count_builds(monkeypatch)
+    P = family.node_for_path(["*pt", "xI", "xI", "*pt"]).polytope
+    assert built == [4, 2, 8, 22, 64, 128] and len(P) == 128
+
+
+@pytest.mark.parametrize("steps, exact", [(1422, True), (1423, False)])
+def test_node_json_order_exact_below_4300_digits(steps, exact):
+    """Hyp(1423) has an order below 10^4300 and Hyp(1424) one above: the
+    first is written as an int, the second as "at least 10^4300"."""
+    node = family.node_for_path(["xI"] * steps)
+    order = groups.order(family.aut_descriptor(node))
+    data = json.loads(json.dumps(family.node_to_json(node)))
+    assert data["order"] == (order if exact else "at least 10^4300")
+    assert (len(str(order)) == 4300) if exact else order >= 10**4300
 
 
 def test_formula_matches_brute_force_through_step_3():

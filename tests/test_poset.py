@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 import polyprod as pp
 from polyprod import poset
+from polyprod.cli import main
 from polyprod.expr import expr_size
 from polyprod.errors import (
     DanglingCover,
@@ -270,6 +271,100 @@ def test_repeated_covers_count_once_and_self_covers_are_cycles():
     for check in (False, True):
         with pytest.raises(NotGraded, match="cycle"):
             poset.PolytopePoset(("0", "1"), (-1, 0), [(0, 1), (1, 1)], check=check)
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["build", "pt^*9"], 0),
+        (["aut", "I^x4", "--method", "generators"], 0),
+        (["verify", "pt^*9"], 1),
+    ],
+    ids=["build", "aut-generators", "verify"],
+)
+def test_reachability_tables_built_only_where_read(closure_builds, capsys, argv, builds):
+    """Products, builds and the generators method read no reachability
+    table; the verifier builds the tables of the poset it checks, once."""
+    assert main(argv) == 0
+    assert len(closure_builds) == builds
+
+
+def test_aut_order_builds_reachability_tables_once(closure_builds):
+    P = pp.eval_expr(pp.parse_expr("(I*pt)xI"))
+    assert closure_builds == []
+    assert pp.aut_order(P) == 12
+    assert closure_builds == [P]
+
+
+def _reference_violations(P):
+    """``P.violations()`` as (type, message) pairs, recomputed from
+    ``P.elements()`` and ``P.covers``, with "every element lies between
+    bottom and top" decided by ``_naive_reach``."""
+    labels, ranks = zip(*P.elements())
+    n = len(labels)
+    covers = sorted(P.covers, key=lambda c: (labels.index(c[0]), labels.index(c[1])))
+    rank = dict(zip(labels, ranks))
+    out = [
+        (NotGraded, f"cover ({a!r}, {b!r}) does not raise rank by exactly 1")
+        for a, b in covers
+        if rank[b] != rank[a] + 1
+    ]
+    low, high = min(ranks), max(ranks)
+    bottoms = [eid for eid in labels if rank[eid] == low]
+    tops = [eid for eid in labels if rank[eid] == high]
+    downs = [(b, a) for a, b in covers]
+    if low != -1:
+        out.append((NotBounded, "minimal rank must be -1"))
+    elif len(bottoms) > 1:
+        out.append((NotBounded, "more than one element of minimal rank"))
+    elif len(tops) > 1:
+        out.append((NotBounded, "more than one element of maximal rank"))
+    elif len(_naive_reach(covers, bottoms[0])) < n or len(_naive_reach(downs, tops[0])) < n:
+        out.append((NotBounded, "not every element lies between bottom and top"))
+    for eid in labels:
+        if rank[eid] > -1 and all(b != eid for _, b in covers):
+            out.append((NotGraded, f"element {eid!r} has no lower cover"))
+        if rank[eid] < high and all(a != eid for a, _ in covers):
+            out.append((NotGraded, f"element {eid!r} has no upper cover"))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ranked_posets())
+def test_violations_match_naive_reachability(poset_data):
+    """On acyclic random ranked posets built without ``check`` (repeated
+    covers once), the violations are the reference's, so boundedness read
+    from the cover lists agrees with boundedness by reachability."""
+    elements, label_covers = poset_data
+    index = {eid: i for i, (eid, _) in enumerate(elements)}
+    covers = {(index[a], index[b]) for a, b in label_covers}
+    if any(a in _naive_reach(covers, b) for a, b in covers):
+        return
+    P = poset.PolytopePoset(*zip(*elements), covers, check=False)
+    assert [(type(v), str(v)) for v in P.violations()] == _reference_violations(P)
+
+
+@pytest.mark.parametrize(
+    "covers",
+    [
+        [(0, 1), (0, 2), (1, 3), (2, 3)],  # the edge
+        [(0, 3), (1, 3), (2, 3)],  # a and b have no lower cover
+        [(0, 1), (0, 2), (0, 3)],  # a and b have no upper cover
+        [(1, 0), (0, 2), (0, 3), (1, 3), (2, 3)],  # the bottom has a lower cover
+        [(0, 1), (0, 2), (1, 3), (3, 2)],  # the top has an upper cover
+    ],
+    ids=["bounded", "two-minimal", "two-maximal", "under-bottom", "over-top"],
+)
+def test_boundedness_read_from_cover_lists(covers):
+    """Each clause of the boundedness test alone decides it, on four faces
+    ranked as the edge's. The last two posets each have one face without a
+    lower cover and one without an upper cover, yet the bottom has a lower
+    cover or the top an upper cover, so they are not bounded."""
+    P = poset.PolytopePoset(("0", "a", "b", "1"), (-1, 0, 0, 1), covers, check=False)
+    violations = [(type(v), str(v)) for v in P.violations()]
+    assert violations == _reference_violations(P)
+    between = (NotBounded, "not every element lies between bottom and top")
+    assert (between in violations) == (covers != [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
 def test_verify_then_aut_order_builds_cover_masks_once(mask_builds):
