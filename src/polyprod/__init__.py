@@ -17,7 +17,6 @@ from .poset import (
     flags,
     from_components,
     is_isomorphic,
-    less_eq,
     point,
     section,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "from_components",
     "is_isomorphic",
     "join",
-    "less_eq",
     "parse_expr",
     "point",
     "power",

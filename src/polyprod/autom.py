@@ -21,17 +21,6 @@ class FacePermutation:
     poset: PolytopePoset
     mapping: tuple[int, ...]
 
-    @classmethod
-    def from_dict(cls, poset: PolytopePoset, mapping: dict[str, str]) -> "FacePermutation":
-        return cls(poset, tuple(poset.face(mapping[eid]) for eid in poset.labels))
-
-    def __getitem__(self, eid: str) -> str:
-        return self.poset.labels[self.mapping[self.poset.face(eid)]]
-
-    def as_dict(self) -> dict[str, str]:
-        labels = self.poset.labels
-        return {eid: labels[j] for eid, j in zip(labels, self.mapping)}
-
     def compose(self, other: "FacePermutation") -> "FacePermutation":
         """self after other: x -> self(other(x))."""
         return FacePermutation(self.poset, tuple(self.mapping[y] for y in other.mapping))

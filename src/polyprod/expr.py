@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import BudgetExceeded, MixedOperatorsWithoutParens, ParseError
 from .family import JOIN_STEP, TIMES_STEP, FamilyNode, node_for_path
 from .poset import DEFAULT_SEARCH_CAP, PolytopePoset, edge, point
-from .products import CARTESIAN, JOIN, SHARED_FACES, power, product
+from .products import CARTESIAN, JOIN, SHARED_FACES, _face_count, power, product
 
 
 @dataclass(frozen=True)
@@ -216,8 +216,7 @@ def _size(e: ConstructionExpr, limit: Optional[int]) -> int:
     if isinstance(e, Atom):
         size = 2 if e.name == "pt" else 4
     elif isinstance(e, Product):
-        s = SHARED_FACES[e.op]
-        size = (_size(e.left, limit) - s) * (_size(e.right, limit) - s) + s
+        size = _face_count(e.op, _size(e.left, limit), _size(e.right, limit))
     elif isinstance(e, Power):
         s = SHARED_FACES[e.op]
         size = _power(_size(e.base, limit) - s, e.k, limit) + s

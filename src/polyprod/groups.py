@@ -73,10 +73,6 @@ def equal(d1: GroupDescriptor, d2: GroupDescriptor) -> bool:
     return normalize(d1) == normalize(d2)
 
 
-def is_trivial(d: GroupDescriptor) -> bool:
-    return normalize(d) == TRIVIAL
-
-
 def render(d: GroupDescriptor) -> str:
     """Print in the conventional notation, e.g. "(Z/2Z)^3 ⋊ Sym(3)"."""
     if isinstance(d, Sym):
@@ -104,14 +100,3 @@ def to_json(d: GroupDescriptor) -> dict:
     if isinstance(d, Hyp):
         return {"kind": "hyp", "k": d.k}
     return {"kind": "prod", "factors": [to_json(f) for f in d.factors]}
-
-
-def from_json(data: dict) -> GroupDescriptor:
-    kind = data["kind"]
-    if kind == "sym":
-        return Sym(data["k"])
-    if kind == "hyp":
-        return Hyp(data["k"])
-    if kind == "prod":
-        return DirectProduct(tuple(from_json(f) for f in data["factors"]))
-    raise ValueError(f"unknown descriptor kind {kind!r}")

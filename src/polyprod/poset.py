@@ -4,17 +4,17 @@ Faces are the indices 0..n-1. A polytope is stored as its Hasse diagram
 (the upper and lower covers of every face); its order tables are bitsets,
 so order queries, sections and the backtracking searches are all cheap bit
 operations. The constructor orders the faces topologically, which rejects
-cover cycles, and builds no table. Each order table is derived once per
-poset, in one place, on its first read: the reachability bitsets ``above``
-and ``below`` by ``_closures``, folded along a topological order, for the
-verifier, the search signatures, ``section``, the decomposition oracles and
-``less_eq``/``up_mask``; the cover masks by ``_cover_masks``, shared by the
-verifier and the searches; the search tables by ``_search_tables``. A
-poset that only feeds a product, is written out or has its flags permuted
-builds none of them. Each face also has a string id, its
-label. Labels are translated to faces and back only in this module: by the
-label API on the poset, by ``from_components``/``from_json`` and by the
-serializers.
+cover cycles, keeps that order and builds no table. Each order table is
+derived once per poset, in one place, on its first read: the reachability
+bitsets ``above`` and ``below`` by ``_closures``, folded along the kept
+order, for the verifier, the search signatures, ``section``, the
+decomposition oracles and ``less_eq``/``up_mask``; the cover masks by
+``_cover_masks``, shared by the verifier and the searches; the search
+tables by ``_search_tables``. A poset that only feeds a product, is written
+out or has its flags permuted builds none of them. Each face also has a
+string id, its label. Labels are translated to faces and back only in
+this module: by the label API on the poset, by
+``from_components``/``from_json`` and by the serializers.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ class PolytopePoset:
     read-only properties built on their first read.
     ``bottom_face``/``top_face`` are the unique faces of least and greatest
     rank, or None. The methods taking or returning ids are the label API.
-    The private slots ``_above``/``_below``, ``_search`` and ``_masks`` hold
+    The private slot ``_order`` holds the constructor's topological order of
+    the faces, and ``_above``/``_below``, ``_search`` and ``_masks`` hold
     the reachability bitsets, the search tables and the cover masks once
     read (see ``_closures``, ``_search_tables``, ``_cover_masks``).
     """
@@ -67,6 +68,7 @@ class PolytopePoset:
         "bottom_face",
         "top_face",
         "_index",
+        "_order",
         "_search",
         "_masks",
         "_above",
@@ -99,7 +101,7 @@ class PolytopePoset:
             lower[b].append(a)
         self.upper = tuple(tuple(sorted(u)) for u in upper)
         self.lower = tuple(tuple(sorted(l)) for l in lower)
-        _topological_order(self.upper, self.lower)
+        self._order = _topological_order(self.upper, self.lower)
 
         min_rank = min(ranks)
         self.rank = max(ranks)
@@ -197,14 +199,8 @@ class PolytopePoset:
     def elements(self) -> list[tuple[str, int]]:
         return list(zip(self.labels, self.ranks))
 
-    def elements_of_rank(self, rk: int) -> list[str]:
-        return [self.labels[i] for i in self.faces_of_rank(rk)]
-
     def less_eq(self, a: str, b: str) -> bool:
         return bool(self.above[self.face(a)] >> self.face(b) & 1)
-
-    def upper_covers(self, eid: str) -> list[str]:
-        return [self.labels[j] for j in self.upper[self.face(eid)]]
 
     def up_mask(self, eid: str) -> int:
         return self.above[self.face(eid)]
@@ -226,12 +222,12 @@ def _topological_order(upper, lower) -> list[int]:
 
 
 def _closures(P: PolytopePoset) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The masks of the faces >= and <= each face, folded along a topological
-    order of the covers, built on the first read of ``P.above`` or
-    ``P.below`` and kept in P's ``_above``/``_below`` slots (P is
-    immutable). The constructor has rejected cycles, so the order is whole."""
-    upper, lower = P.upper, P.lower
-    order = _topological_order(upper, lower)
+    """The masks of the faces >= and <= each face, folded along the
+    topological order the constructor kept in ``P._order``, built on the
+    first read of ``P.above`` or ``P.below`` and kept in P's
+    ``_above``/``_below`` slots (P is immutable). The constructor has
+    rejected cycles, so the order is whole."""
+    upper, lower, order = P.upper, P.lower, P._order
     n = len(order)
     above, below = [0] * n, [0] * n
     for i in order:
@@ -269,10 +265,6 @@ def from_components(elements, covers, check=True) -> PolytopePoset:
     return PolytopePoset(
         [eid for eid, _ in elements], [rk for _, rk in elements], faces, check=check
     )
-
-
-def less_eq(P: PolytopePoset, a: str, b: str) -> bool:
-    return P.less_eq(a, b)
 
 
 def section(P: PolytopePoset, F: int, G: int) -> PolytopePoset:

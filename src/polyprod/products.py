@@ -1,9 +1,9 @@
 """Join and Cartesian product of polytope posets, plus k-fold powers.
 
 The two products are named by ``JOIN`` and ``CARTESIAN``; ``product(op, P,
-Q)`` builds either, and ``SHARED_FACES[op]`` is how many faces its factors
-share (none for the join, the joint bottom for the Cartesian product), so
-that ``|P op Q| = (|P| - s)(|Q| - s) + s``.
+Q)`` builds either, ``SHARED_FACES[op]`` is how many faces its factors
+share (none for the join, the joint bottom for the Cartesian product), and
+``_face_count`` counts a product's faces from its factors' counts.
 
 Face layout, for P with n faces and Q with m faces:
 
@@ -33,6 +33,13 @@ SHARED_FACES = {JOIN: 0, CARTESIAN: 1}
 
 _label = "({}|{})".format
 _repr_label = "({!r}|{!r})".format
+
+
+def _face_count(op: str, n: int, m: int) -> int:
+    """|P op Q| for P of n and Q of m faces: (n - s)(m - s) + s, where s is
+    ``SHARED_FACES[op]``."""
+    s = SHARED_FACES[op]
+    return (n - s) * (m - s) + s
 
 
 def _poset(labels, ranks, covers) -> PolytopePoset:

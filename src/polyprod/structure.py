@@ -15,7 +15,7 @@ from .poset import (
     point,
     section,
 )
-from .products import cartesian, join
+from .products import CARTESIAN, JOIN, _face_count, product
 
 
 def pyramid_apex_candidates(P: PolytopePoset) -> list[int]:
@@ -58,10 +58,10 @@ def pyramid_decompose(
 
     Only apex candidates are tried: removing everything above a candidate
     apex leaves the would-be base (skipped if the constructor rejects it),
-    which is rebuilt into a pyramid of 2|Q| faces and compared against P.
+    which is rebuilt into a pyramid and compared against P.
     """
     bases = (_subposet_avoiding(P, v) for v in pyramid_apex_candidates(P))
-    return _first_base(P, bases, lambda Q: join(Q, point()), lambda n: 2 * n, max_elements)
+    return _first_base(P, bases, JOIN, point(), max_elements)
 
 
 def prism_decompose(
@@ -69,26 +69,24 @@ def prism_decompose(
 ) -> Optional[PolytopePoset]:
     """Some Q with cartesian(Q, I) isomorphic to P, or None.
 
-    In a prism Q x I, of 3|Q| - 2 faces, a copy of Q sits under a facet, so
-    trying every facet section is exhaustive; a section the constructor
-    rejects is skipped, since no copy of Q is rejected.
+    In a prism Q x I a copy of Q sits under a facet, so trying every facet
+    section is exhaustive; a section the constructor rejects is skipped,
+    since no copy of Q is rejected.
     """
     bases = (_facet_section(P, f) for f in P.faces_of_rank(P.rank - 1))
-    return _first_base(
-        P, bases, lambda Q: cartesian(Q, edge()), lambda n: 3 * n - 2, max_elements
-    )
+    return _first_base(P, bases, CARTESIAN, edge(), max_elements)
 
 
-def _first_base(P, bases, rebuild, size, max_elements) -> Optional[PolytopePoset]:
-    """The first base Q that is not None and whose product ``rebuild(Q)`` is
+def _first_base(P, bases, op, atom, max_elements) -> Optional[PolytopePoset]:
+    """The first base Q that is not None and whose product ``Q op atom`` is
     isomorphic to P; None for P of rank below 1 or without a unique bottom
     face, which no such product lacks. The product is built only when its
-    face count ``size(len(Q))`` equals |P|, since posets of different sizes
-    are never isomorphic."""
+    face count equals |P|, since posets of different sizes are never
+    isomorphic."""
     if P.rank < 1 or P.bottom_face is None:
         return None
     for Q in bases:
-        if Q is not None and size(len(Q)) == len(P):
-            if is_isomorphic(rebuild(Q), P, max_elements=max_elements):
+        if Q is not None and _face_count(op, len(Q), len(atom)) == len(P):
+            if is_isomorphic(product(op, Q, atom), P, max_elements=max_elements):
                 return Q
     return None

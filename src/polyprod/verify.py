@@ -60,7 +60,7 @@ class ValidityReport:
         return {"is_polytope": self.is_polytope, "failures": failures}
 
 
-def verify_polytope(P: PolytopePoset, max_violations: int = MAX_VIOLATIONS) -> ValidityReport:
+def verify_polytope(P: PolytopePoset) -> ValidityReport:
     """Check the four polytope axioms on any ranked poset.
 
     Boundedness and gradedness are read from ``P.violations()``, the checks
@@ -71,15 +71,13 @@ def verify_polytope(P: PolytopePoset, max_violations: int = MAX_VIOLATIONS) -> V
     are joined through ridges, which is sound since a shared ridge lies
     inside the section; the lower-cover test of ``_connected`` decides the
     rest exactly. Both checks visit their pairs F <= G by rank of F, rank of
-    G, F, G, and each keeps its first ``max_violations`` failures, but at
-    least one, since the diamond and connectivity verdicts are read from the
-    lists. The certified sections are connected, so skipping them changes
-    neither list.
+    G, F, G, and each keeps its first ``MAX_VIOLATIONS`` (20) failures. The
+    certified sections are connected, so skipping them changes neither
+    list.
     """
     found = {type(v) for v in P.violations()}
     labels, up, down = P.labels, P.above, P.below
     _, lower = _cover_masks(P)
-    cap = max(max_violations, 1)
     diamonds = (
         (labels[f], labels[g], middle)
         for f, g in _intervals(P, (2,), up)
@@ -94,8 +92,8 @@ def verify_polytope(P: PolytopePoset, max_violations: int = MAX_VIOLATIONS) -> V
     return ValidityReport(
         bounded=NotBounded not in found,
         graded=NotGraded not in found,
-        diamond_violations=list(islice(diamonds, cap)),
-        connectivity_violations=list(islice(disconnected, cap)),
+        diamond_violations=list(islice(diamonds, MAX_VIOLATIONS)),
+        connectivity_violations=list(islice(disconnected, MAX_VIOLATIONS)),
     )
 
 

@@ -18,8 +18,10 @@ def test_automorphisms_of_edge(seg):
     assert len(perms) == 2
     assert any(g.is_identity() for g in perms)
     swap = next(g for g in perms if not g.is_identity())
-    assert swap["a"] == "b" and swap["b"] == "a"
-    assert swap["0"] == "0" and swap["1"] == "1"
+    a, b = seg.face("a"), seg.face("b")
+    assert swap.mapping[a] == b and swap.mapping[b] == a
+    assert swap.mapping[seg.face("0")] == seg.face("0")
+    assert swap.mapping[seg.face("1")] == seg.face("1")
 
 
 def test_automorphisms_of_point(pt):
@@ -66,8 +68,8 @@ def test_automorphisms_preserve_rank_and_flags(triangle):
     n_flags = len(pp.flags(triangle))
     for g in pp.automorphisms(triangle):
         g.validate()
-        for eid in triangle.element_ids():
-            assert triangle.rank_of(g[eid]) == triangle.rank_of(eid)
+        for i, j in enumerate(g.mapping):
+            assert triangle.ranks[j] == triangle.ranks[i]
     assert n_flags == len(pp.flags(triangle))
 
 
@@ -76,7 +78,7 @@ def test_closure_trivial(seg):
 
 
 def test_closure_involution(seg):
-    swap = FacePermutation.from_dict(seg, {"0": "0", "a": "b", "b": "a", "1": "1"})
+    swap = FacePermutation(seg, (0, 2, 1, 3))
     assert closure([swap]) == 2
 
 
@@ -185,10 +187,10 @@ def test_pinned_search(square):
 
 
 def test_closure_rejects_non_automorphism(square):
-    a, b = square.elements_of_rank(0)[:2]
-    swap = {eid: eid for eid in square.element_ids()}
+    a, b = square.faces_of_rank(0)[:2]
+    swap = list(range(len(square)))
     swap[a], swap[b] = b, a
-    g = FacePermutation.from_dict(square, swap)
+    g = FacePermutation(square, tuple(swap))
     with pytest.raises(ValueError, match="cover"):
         closure([g])
 

@@ -68,15 +68,15 @@ def test_from_components_two_bottoms_not_bounded():
 
 
 def test_less_eq_examples(seg, pt):
-    assert pp.less_eq(seg, "0", "1")
-    assert not pp.less_eq(seg, "a", "b")
-    assert not pp.less_eq(pt, "1", "0")
-    assert pp.less_eq(pt, "1", "1")
+    assert seg.less_eq("0", "1")
+    assert not seg.less_eq("a", "b")
+    assert not pt.less_eq("1", "0")
+    assert pt.less_eq("1", "1")
 
 
 def test_less_eq_unknown_id(seg):
     with pytest.raises(UnknownId):
-        pp.less_eq(seg, "0", "nope")
+        seg.less_eq("0", "nope")
 
 
 def test_less_eq_matches_bfs(small_corpus):
@@ -294,6 +294,24 @@ def test_aut_order_builds_reachability_tables_once(closure_builds):
     assert closure_builds == []
     assert pp.aut_order(P) == 12
     assert closure_builds == [P]
+
+
+def test_reachability_tables_fold_the_constructors_order(monkeypatch):
+    """The constructor's topological order is kept for the tables: building
+    them for ``verify_polytope`` walks no second order."""
+    calls = []
+    topological_order = poset._topological_order
+
+    def counting(*args):
+        calls.append(args)
+        return topological_order(*args)
+
+    monkeypatch.setattr(poset, "_topological_order", counting)
+    P = pp.eval_expr(pp.parse_expr("pt^*9"))
+    before = len(calls)
+    assert before  # one walk per constructed poset
+    assert pp.verify_polytope(P).is_polytope
+    assert len(calls) == before
 
 
 def _reference_violations(P):

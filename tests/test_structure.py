@@ -1,7 +1,7 @@
 import pytest
 
 import polyprod as pp
-from polyprod import family, structure
+from polyprod import family, products, structure
 from polyprod.poset import from_components
 
 
@@ -95,8 +95,8 @@ def test_decompose_builds_only_products_of_the_right_size(monkeypatch):
 
         return build
 
-    monkeypatch.setattr(structure, "join", recording(structure.join))
-    monkeypatch.setattr(structure, "cartesian", recording(structure.cartesian))
+    monkeypatch.setattr(products, "join", recording(products.join))
+    monkeypatch.setattr(products, "cartesian", recording(products.cartesian))
     for steps in range(1, 5):
         for node in family.enumerate_family(steps):
             P = node.polytope
@@ -160,8 +160,8 @@ def test_decompose_of_unbounded_posets_is_none(square):
 )
 def test_decompose_builds_no_candidate_cover_masks(mask_builds, text, oracle):
     """Each rebuilt candidate is the first argument of its search, whose
-    cover masks are never read; only P's are, built once by the verify in
-    eval_expr."""
+    cover masks are never read; only P's are, built once by the first
+    ``is_isomorphic`` search, which has P as its second argument."""
     P = pp.eval_expr(pp.parse_expr(text))
     assert oracle(P) is not None
     assert len(mask_builds) == 1 and mask_builds[0] is P

@@ -38,9 +38,9 @@ def test_single_vertex_rank1_fails_diamond():
 
 
 def test_square_with_deleted_cover_fails(square):
-    v = square.elements_of_rank(0)[0]
-    e = square.upper_covers(v)[0]
-    mutated = _without_cover(square, (v, e))
+    v = square.faces_of_rank(0)[0]
+    e = square.upper[v][0]
+    mutated = _without_cover(square, (square.labels[v], square.labels[e]))
     report = pp.verify_polytope(mutated)
     assert not report.is_polytope
     assert not report.diamond_ok
@@ -203,17 +203,16 @@ def _ranked_posets(draw):
 @given(_ranked_posets())
 def test_verifier_matches_naive_oracle_on_random_posets(poset_data):
     """On small random ranked posets, valid or not, both violation lists
-    equal the naive oracle's at caps 1 and 20; the posets the constructor
+    equal the naive oracle's, capped at 20; the posets the constructor
     rejects (cycles) are skipped."""
     try:
         P = from_components(*poset_data, check=False)
     except PolytopeError:
         return
-    for cap in (1, 20):
-        report = pp.verify_polytope(P, cap)
-        assert (report.diamond_violations, report.connectivity_violations) == (
-            naive_violations(P, cap)
-        )
+    report = pp.verify_polytope(P)
+    assert (report.diamond_violations, report.connectivity_violations) == (
+        naive_violations(P)
+    )
 
 
 def test_two_squares_glued_at_bottom_and_top():
