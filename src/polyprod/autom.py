@@ -9,8 +9,12 @@ from operator import itemgetter
 from .errors import ClosureBudgetExceeded
 from .family import JOIN_STEP, TIMES_STEP
 from .poset import DEFAULT_SEARCH_CAP, PolytopePoset, order_isomorphisms
+from .products import CARTESIAN, JOIN, _face_count, _lift, _swap
 
 DEFAULT_CLOSURE_CAP = 1_000_000
+
+# the product each family step takes and the faces of the atom it adds
+_STEPS = {TIMES_STEP: (CARTESIAN, 4), JOIN_STEP: (JOIN, 2)}
 
 
 @dataclass(frozen=True)
@@ -191,46 +195,22 @@ def closure(
 
 def described_generators(node) -> list[FacePermutation]:
     """Generating set of Aut(node.polytope) built recursively along the
-    node's construction history.
-
-    Prism steps append the swap of the two newest edge coordinates, pyramid
-    steps append the swap of the two newest point copies (or the copy swap
-    for a pyramid's prism child); the root edge contributes the vertex flip.
-    The triangle, being I * pt = pt * pt * pt, gets its extra transposition
-    as an explicit base case.
-
-    Generators are index tuples, carried from each step's polytope to the
-    next by the layout of ``products``, so only sizes are needed: a face f
-    of P * pt is (f // 2, f % 2), and a face f > 0 of P x I is
-    (1 + x // 3, x % 3) with x = f - 1, where 0, 1, 2 are the positions of
-    the vertices a, b and the edge of I among its non-bottom faces.
-    Every automorphism fixes the bottom, face 0 in every family polytope.
-    """
-    n = 4  # faces of the root edge I: 0, a, b, 1
-    gens = [(0, 2, 1, 3)]
-    prev = TIMES_STEP
-    for depth, step in enumerate(node.path):
-        if step == TIMES_STEP:
-            xs = range(3 * (n - 1))
-            gens = [(0, *(3 * g[1 + x // 3] - 2 + x % 3 for x in xs)) for g in gens]
-            if prev == TIMES_STEP:
-                # ((p, a), b) -> ((p, b), a): swap the last two base-3 digits
-                gens.append((0, *(1 + x // 9 * 9 + x % 3 * 3 + x // 3 % 3 for x in xs)))
-            else:
-                # (p, q) -> (p, flip q): swap the vertices of the new edge
-                gens.append((0, *(1 + x // 3 * 3 + (1, 0, 2)[x % 3] for x in xs)))
-            n = 3 * (n - 1) + 1
-        elif step == JOIN_STEP:
-            gens = [tuple(2 * g[f // 2] + f % 2 for f in range(2 * n)) for g in gens]
-            if depth == 0:
-                # on I * pt, the transposition of the vertex b and the apex
-                gens.append((0, 4, 2, 6, 1, 5, 3, 7))
-            elif prev == JOIN_STEP:
-                # ((p, a), b) -> ((p, b), a): swap the last two binary digits
-                gens.append(tuple(f & ~3 | (f & 1) << 1 | f >> 1 & 1 for f in range(2 * n)))
-            n *= 2
-        else:
-            raise ValueError(f"unknown construction step {step!r}")
-        prev = step
-    P = node.polytope
+    node's construction history: the root edge's vertex flip, then per step
+    the swap of the two newest atoms when the step repeats the previous one
+    (the root repeats either, as I = pt * pt = pt x I), the flip of the new
+    edge for a prism step after a pyramid step, and nothing for a pyramid
+    step after a prism step. Each is an index tuple, lifted to the next
+    step's polytope by ``products._lift``."""
+    P = node.polytope  # raises ValueError on an unknown step
+    flip = _swap(JOIN, 2)  # edge() is laid out as pt * pt
+    gens = [flip]
+    before, n = 2, len(flip)
+    for prev, step in zip((None, *node.path), node.path):
+        op, atom = _STEPS[step]
+        gens = [_lift(op, g, range(atom)) for g in gens]
+        if prev in (None, step):
+            gens.append(_lift(op, range(before), _swap(op, atom)))
+        elif step == TIMES_STEP:
+            gens.append(_lift(CARTESIAN, range(n), flip))
+        before, n = n, _face_count(op, n, atom)
     return [FacePermutation(P, g) for g in gens]

@@ -9,10 +9,13 @@ open parentheses and operators on one path of its tree alike (a chain
 ``pt x pt x ...`` of 201 operators is too deep), exits 2 with
 ``parse error: ...`` on stderr, as does an exponent of more than 4300
 digits. An expression whose face count passes ``--max-elements`` exits 4
-with one ``budget exceeded: ...`` line; the count is given exactly below
-10^4300 and as "at least 10^4300" above. So does one whose build takes more
-product constructions than ``--max-elements``, counting one per ``*`` or
-``x`` and k - 1 per power, such as ``(pt x pt)^x5000``, which has 2 faces.
+with one ``budget exceeded: ...`` line, in every command but ``aut`` by
+the formula, which builds nothing (``aut --method generators`` builds the
+family polytope, which has the expression's faces). The count is given
+exactly below 10^4300 and as "at least 10^4300" above. So does one whose
+build takes more product constructions than ``--max-elements``, counting
+one per ``*`` or ``x`` and k - 1 per power, such as ``(pt x pt)^x5000``,
+which has 2 faces.
 
 ``build``, ``aut`` and ``decompose`` do not verify the posets they build:
 products of polytopes are polytopes. ``verify EXPR`` is the one command
@@ -50,7 +53,7 @@ import sys
 from . import groups, poset
 from .autom import DEFAULT_CLOSURE_CAP, aut_order, closure, described_generators
 from .errors import BudgetExceeded, ParseError, PolytopeError
-from .expr import eval_expr, expr_to_family, format_count, parse_expr
+from .expr import _within_budget, eval_expr, expr_to_family, format_count, parse_expr
 from .family import aut_descriptor, enumerate_family, node_to_json
 from .structure import prism_decompose, pyramid_decompose
 from .verify import verify_polytope
@@ -143,8 +146,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_aut(args) -> int:
     ast = parse_expr(args.expr)
-    node = expr_to_family(ast)
     method = args.method
+    if method == "generators":
+        # the family polytope has the expression's faces and products
+        _within_budget(ast, args.max_elements)
+    # brute force never reads the family node
+    node = None if method == "brute" else expr_to_family(ast)
     if method is None:
         method = "formula" if node is not None else "brute"
         if node is None:

@@ -258,11 +258,16 @@ def format_count(count: int) -> str:
     return str(count) if count < _EXACT_BELOW else f"at least 10^{_EXACT_DIGITS}"
 
 
-def _within_budget(template: str, count: int, cap: int) -> None:
-    """Raise BudgetExceeded, naming the count, when count passes the cap."""
-    if count > cap:
-        shown = format_count(count)
-        raise BudgetExceeded(f"expression {template.format(shown)}, above the cap of {cap}")
+def _within_budget(e: ConstructionExpr, cap: int) -> None:
+    """Raise BudgetExceeded, naming the count, when building e yields more
+    than `cap` faces or takes more than `cap` product constructions."""
+    limit = max(cap + 1, _EXACT_BELOW)
+    checks = {"yields {} faces": _size, "takes {} product constructions": _products}
+    for template, measure in checks.items():
+        count = measure(e, limit)
+        if count > cap:
+            shown = template.format(format_count(count))
+            raise BudgetExceeded(f"expression {shown}, above the cap of {cap}")
 
 
 def eval_expr(e: ConstructionExpr, max_elements: int = DEFAULT_SEARCH_CAP) -> PolytopePoset:
@@ -272,9 +277,7 @@ def eval_expr(e: ConstructionExpr, max_elements: int = DEFAULT_SEARCH_CAP) -> Po
     Hubard, *Products of abstract polytopes*, JCTA 157, 2018), so the
     result is not verified again; ``tests/test_expr.py`` checks the
     guarantee on random expressions."""
-    limit = max(max_elements + 1, _EXACT_BELOW)
-    _within_budget("yields {} faces", _size(e, limit), max_elements)
-    _within_budget("takes {} product constructions", _products(e, limit), max_elements)
+    _within_budget(e, max_elements)
 
     def build(node: ConstructionExpr) -> PolytopePoset:
         if isinstance(node, Atom):

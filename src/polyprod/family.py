@@ -39,7 +39,12 @@ class FamilyNode:
         I, pt = edge(), point()
         P = I
         for step in self.path:
-            P = cartesian(P, I) if step == TIMES_STEP else join(P, pt)
+            if step == TIMES_STEP:
+                P = cartesian(P, I)
+            elif step == JOIN_STEP:
+                P = join(P, pt)
+            else:
+                raise ValueError(f"unknown construction step {step!r}")
         return P
 
 

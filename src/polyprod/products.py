@@ -12,13 +12,15 @@ Face layout, for P with n faces and Q with m faces:
   non-bottom faces is face ``1 + pos_P(i)*(m - 1) + pos_Q(j)``, where
   ``pos`` is a face's position among its poset's non-bottom faces.
 
-Both orders are lexicographic in (i, j), so coordinate actions on product
-faces are index arithmetic on the factors' sizes (see
-``autom.described_generators``). Each face is labelled "(p|q)" with the
-labels p and q of its two factors' faces. Where that gives two faces one
-label (a factor id holds "|", or ids such as 1 and "1" print alike), every
-face of that product is labelled with the reprs of p and q instead, which
-are distinct since repr literals delimit themselves.
+So where each factor's bottom is its face 0, as in every product of atoms,
+face (i, j) of P op Q is ``(i - s)*(m - s) + j`` with s = ``SHARED_FACES[op]``.
+The order is lexicographic in (i, j), hence associative: (P op Q) op R and
+P op (Q op R) number their faces alike. ``_lift`` and ``_swap`` act on faces
+through it; no other module computes a product face index. Each face is
+labelled "(p|q)" with the labels p and q of its two factors' faces. Where
+that gives two faces one label (a factor id holds "|", or ids such as 1 and
+"1" print alike), every face of that product is labelled with the reprs of
+p and q instead, which are distinct since repr literals delimit themselves.
 """
 
 from __future__ import annotations
@@ -40,6 +42,22 @@ def _face_count(op: str, n: int, m: int) -> int:
     ``SHARED_FACES[op]``."""
     s = SHARED_FACES[op]
     return (n - s) * (m - s) + s
+
+
+def _lift(op: str, g, h) -> tuple[int, ...]:
+    """The permutation of P op Q that acts as g on P's faces and h on Q's,
+    for factors whose bottom is face 0; g and h fix the shared faces, as
+    automorphisms fix the bottom."""
+    s = SHARED_FACES[op]
+    stride = len(h) - s
+    return (*range(s), *((a - s) * stride + b for a in g[s:] for b in h[s:]))
+
+
+def _swap(op: str, m: int) -> tuple[int, ...]:
+    """The permutation of Q op Q, for Q of m faces with its bottom at face 0,
+    that exchanges the two factors: face (i, j) goes to face (j, i)."""
+    s = SHARED_FACES[op]
+    return (*range(s), *((j - s) * (m - s) + i for i in range(s, m) for j in range(s, m)))
 
 
 def _poset(labels, ranks, covers) -> PolytopePoset:

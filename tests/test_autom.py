@@ -138,6 +138,18 @@ def test_formula_brute_generators_agree_through_step_5():
         assert closure(described_generators(node)) == formula, node.path
 
 
+def test_generators_match_formula_at_step_6():
+    """Closure = formula on the step-6 nodes that closure can count quickly:
+    |Aut| * faces <= 2 * 10^6."""
+    checked = 0
+    for node in family.enumerate_family(6):
+        formula = groups.order(family.aut_descriptor(node))
+        if formula * len(node.polytope) <= 2_000_000:
+            assert closure(described_generators(node)) == formula, node.path
+            checked += 1
+    assert checked == 50
+
+
 def _square_mutants(square):
     """The square with one cover deleted, for each cover; the square without
     its bottom (four minimal elements); and the square whose edge over

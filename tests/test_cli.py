@@ -284,6 +284,18 @@ def test_only_verify_runs_the_verifier(monkeypatch, capsys, argv, runs):
     assert len(walks) == runs
 
 
+def test_generators_face_budget(capsys):
+    """aut --method generators builds the family polytope, which has the
+    expression's faces, so --max-elements bounds it as it bounds build."""
+    argv = ["aut", "I^x6", "--method", "generators"]
+    assert main(["--max-elements", "729", *argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: expression yields 730 faces, above the cap of 729\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "generators: 6\norder: 46080\n"
+
+
 def test_exit_code_closure_budget(capsys):
     assert main(["--max-closure", "10", "aut", "I^x3", "--method", "generators"]) == 4
     out, err = capsys.readouterr()
@@ -457,8 +469,11 @@ def test_expression_at_the_depth_limit_builds(capsys, text):
         (["build", "pt^*20000"], "at least 10^4300"),
         (["build", "I^x100000"], "at least 10^4300"),
         (["aut", "(IxI)^x100000", "--method", "brute"], "at least 10^4300"),
+        (["aut", "I^x99999999999999999999", "--method", "brute"], "at least 10^4300"),
+        (["aut", "I^x99999999999999999999", "--method", "generators"], "at least 10^4300"),
     ],
-    ids=["I^x8", "pt^*14000", "pt^*20000", "I^x100000", "aut-brute"],
+    ids=["I^x8", "pt^*14000", "pt^*20000", "I^x100000", "aut-brute",
+         "family-brute", "family-generators"],
 )
 def test_budget_exceeded_is_one_line(capsys, argv, count):
     """Sizes below 10^4300 are printed exactly, as before; larger ones end in

@@ -4,6 +4,7 @@ import pytest
 
 import polyprod as pp
 from polyprod import family, groups
+from polyprod.autom import described_generators
 from polyprod.groups import DirectProduct, Hyp, Sym
 from polyprod.poset import PolytopePoset
 
@@ -160,6 +161,19 @@ def test_node_json_order_exact_below_4300_digits(steps, exact):
     data = json.loads(json.dumps(family.node_to_json(node)))
     assert data["order"] == (order if exact else "at least 10^4300")
     assert (len(str(order)) == 4300) if exact else order >= 10**4300
+
+
+def test_unknown_step_is_rejected():
+    """An unknown step is named, whether the node's state, its polytope or
+    its generators are asked for."""
+    message = "unknown construction step 'bogus'"
+    with pytest.raises(ValueError, match=message):
+        family.node_for_path(["bogus"])
+    node = family.FamilyNode(A=groups.TRIVIAL, k=1, prod="cartesian", path=("bogus",))
+    with pytest.raises(ValueError, match=message):
+        node.polytope
+    with pytest.raises(ValueError, match=message):
+        described_generators(node)
 
 
 def test_formula_matches_brute_force_through_step_3():

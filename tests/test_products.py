@@ -4,6 +4,7 @@ import pytest
 
 import polyprod as pp
 from polyprod.errors import NonPositiveExponent
+from polyprod.products import CARTESIAN, JOIN, _lift, _swap
 
 from oracles import count_by_rank
 
@@ -73,7 +74,9 @@ def test_power_rejects_nonpositive(seg):
 def test_product_layout_labels(small_corpus):
     """Join face (i, j) is i*|Q| + j; Cartesian face 0 is the shared bottom
     and (i, j) is 1 + pos(i)*(|Q| - 1) + pos(j), pos counting non-bottom
-    faces; each face's label is "(p|q)" of its factors' labels."""
+    faces; each face's label is "(p|q)" of its factors' labels. ``_lift(op,
+    g, h)`` sends the face "(p|q)" to "(g p|h q)" and ``_swap`` sends it to
+    "(q|p)", for automorphisms g and h of factors with the bottom at face 0."""
     factors = [small_corpus[k] for k in ("pt", "I", "triangle", "square")]
     for P in factors:
         for Q in factors:
@@ -91,6 +94,32 @@ def test_product_layout_labels(small_corpus):
                     face = 1 + a * (len(Q) - 1) + b
                     assert C.labels[face] == f"({P.labels[i]}|{Q.labels[j]})"
                     assert C.ranks[face] == P.ranks[i] + Q.ranks[j]
+            for op, R in ((JOIN, J), (CARTESIAN, C)):
+                face = {label: f for f, label in enumerate(R.labels)}
+                pairs = [
+                    (p, q, face[f"({p}|{q})"])
+                    for p in P.labels
+                    for q in Q.labels
+                    if f"({p}|{q})" in face
+                ]
+                assert len(pairs) == len(R)
+                for g in pp.automorphisms(P):
+                    for h in pp.automorphisms(Q):
+                        lifted = _lift(op, g.mapping, h.mapping)
+                        gp = dict(zip(P.labels, (P.labels[i] for i in g.mapping)))
+                        hq = dict(zip(Q.labels, (Q.labels[j] for j in h.mapping)))
+                        for p, q, f in pairs:
+                            assert lifted[f] == face[f"({gp[p]}|{hq[q]})"]
+                if P is Q:
+                    swapped = _swap(op, len(Q))
+                    assert all(swapped[f] == face[f"({q}|{p})"] for p, q, f in pairs)
+
+
+def test_edge_is_laid_out_as_pt_join_pt(pt, seg):
+    """I's faces are numbered as those of pt * pt, the layout that
+    ``autom.described_generators`` starts from."""
+    J = pp.join(pt, pt)
+    assert seg.ranks == J.ranks and seg.upper == J.upper
 
 
 def test_count_and_rank_formulas_random_pairs(small_corpus):
