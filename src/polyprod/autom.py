@@ -201,7 +201,7 @@ def described_generators(node) -> list[FacePermutation]:
     edge for a prism step after a pyramid step, and nothing for a pyramid
     step after a prism step. Each is an index tuple, lifted to the next
     step's polytope by ``products._lift``."""
-    P = node.polytope  # raises ValueError on an unknown step
+    P = node.polytope
     flip = _swap(JOIN, 2)  # edge() is laid out as pt * pt
     gens = [flip]
     before, n = 2, len(flip)

@@ -17,6 +17,9 @@ build takes more product constructions than ``--max-elements``, counting
 one per ``*`` or ``x`` and k - 1 per power, such as ``(pt x pt)^x5000``,
 which has 2 faces.
 
+``--max-elements`` and ``--max-closure`` may be given before the subcommand
+or after it; a value given after it wins.
+
 ``build``, ``aut`` and ``decompose`` do not verify the posets they build:
 products of polytopes are polytopes. ``verify EXPR`` is the one command
 that runs the axiom checker on an expression.
@@ -53,8 +56,9 @@ import sys
 from . import groups, poset
 from .autom import DEFAULT_CLOSURE_CAP, aut_order, closure, described_generators
 from .errors import BudgetExceeded, ParseError, PolytopeError
-from .expr import _within_budget, eval_expr, expr_to_family, format_count, parse_expr
+from .expr import _within_budget, eval_expr, expr_to_family, parse_expr
 from .family import aut_descriptor, enumerate_family, node_to_json
+from .groups import format_count
 from .structure import prism_decompose, pyramid_decompose
 from .verify import verify_polytope
 
@@ -76,26 +80,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--max-elements", type=int, default=poset.DEFAULT_SEARCH_CAP)
     parser.add_argument("--max-closure", type=int, default=DEFAULT_CLOSURE_CAP)
+    # the budgets again after the subcommand, where a value given wins; with
+    # no default there, an absent one leaves the top-level value in place
+    budgets = argparse.ArgumentParser(add_help=False)
+    for option in ("--max-elements", "--max-closure"):
+        budgets.add_argument(option, type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="emit the face lattice")
+    p = sub.add_parser("build", help="emit the face lattice", parents=[budgets])
     p.add_argument("expr")
     p.add_argument("--out", choices=["json", "dot"], default="json")
     p.add_argument("-o", "--output", help="output file (default stdout)")
 
-    p = sub.add_parser("verify", help="run the axiom checker")
+    p = sub.add_parser("verify", help="run the axiom checker", parents=[budgets])
     p.add_argument("expr", nargs="?")
     p.add_argument("--json", dest="json_file", help="read the poset from a JSON file")
 
-    p = sub.add_parser("aut", help="compute the automorphism group")
+    p = sub.add_parser("aut", help="compute the automorphism group", parents=[budgets])
     p.add_argument("expr")
     p.add_argument("--method", choices=["formula", "brute", "generators"])
 
-    p = sub.add_parser("decompose", help="factor off a pyramid apex or prism edge")
+    p = sub.add_parser(
+        "decompose", help="factor off a pyramid apex or prism edge", parents=[budgets]
+    )
     p.add_argument("expr")
     p.add_argument("--as", dest="shape", choices=["pyramid", "prism"], required=True)
 
-    p = sub.add_parser("family", help="list family nodes at a given depth")
+    p = sub.add_parser("family", help="list family nodes at a given depth", parents=[budgets])
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--json", action="store_true")
     return parser
@@ -150,8 +161,7 @@ def _cmd_aut(args) -> int:
     if method == "generators":
         # the family polytope has the expression's faces and products
         _within_budget(ast, args.max_elements)
-    # brute force never reads the family node
-    node = None if method == "brute" else expr_to_family(ast)
+    node = expr_to_family(ast)
     if method is None:
         method = "formula" if node is not None else "brute"
         if node is None:

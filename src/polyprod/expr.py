@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceeded, MixedOperatorsWithoutParens, ParseError
-from .family import JOIN_STEP, TIMES_STEP, FamilyNode, node_for_path
+from .family import JOIN_STEP, TIMES_STEP, FamilyNode, _runs
+from .groups import _EXACT_BELOW, format_count
 from .poset import DEFAULT_SEARCH_CAP, PolytopePoset, edge, point
 from .products import CARTESIAN, JOIN, SHARED_FACES, _face_count, power, product
 
@@ -57,12 +58,6 @@ _SYMBOL = {JOIN: "*", CARTESIAN: "x"}
 _OP = {symbol: op for op, symbol in _SYMBOL.items()}
 
 MAX_DEPTH = 200
-
-# sizes and group orders below 10^EXACT_DIGITS are printed exactly, larger
-# ones as "at least" (``format_count``); Python formats ints of at most 4300
-# digits by default
-_EXACT_DIGITS = 4300
-_EXACT_BELOW = 10**_EXACT_DIGITS
 
 _TOKEN = re.compile(r"\s*(pt|I|x|\^\*|\^x|\*|\(|\)|\d+)")
 
@@ -252,12 +247,6 @@ def _products(e: ConstructionExpr, limit: int) -> int:
     return min(count, limit)
 
 
-def format_count(count: int) -> str:
-    """The count in decimal, or "at least 10^4300" from 10^4300 on, where
-    Python stops converting ints to text by default."""
-    return str(count) if count < _EXACT_BELOW else f"at least 10^{_EXACT_DIGITS}"
-
-
 def _within_budget(e: ConstructionExpr, cap: int) -> None:
     """Raise BudgetExceeded, naming the count, when building e yields more
     than `cap` faces or takes more than `cap` product constructions."""
@@ -304,26 +293,22 @@ def _atom_run(e: ConstructionExpr, op: str, atom: Atom) -> Optional[int]:
     return None
 
 
-def _family_steps(e: ConstructionExpr) -> Optional[list[str]]:
+def _family_runs(e: ConstructionExpr) -> Optional[list[tuple[str, int]]]:
     if isinstance(e, Atom):
         return [] if e.name == "I" else None
     if isinstance(e, Power) and e.k == 1:
-        return _family_steps(e.base)
+        return _family_runs(e.base)
     atom, step = _FAMILY_STEP[e.op]
     if isinstance(e, Product):
         head, run = e.left, _atom_run(e.right, e.op, atom)
     else:  # atom^k is the atom followed by k - 1 more
         head, run = e.base, (e.k - 1 if e.base == atom else None)
-    if run is None:
-        return None
-    steps = _family_steps(head)
-    return None if steps is None else steps + [step] * run
+    runs = None if run is None else _family_runs(head)
+    return None if runs is None else [*runs, (step, run)]
 
 
 def expr_to_family(e: ConstructionExpr) -> Optional[FamilyNode]:
     """The family node for a syntactically family-shaped expression: I
-    followed by a sequence of *pt and xI steps (powers expand to runs)."""
-    steps = _family_steps(e)
-    if steps is None:
-        return None
-    return node_for_path(steps)
+    followed by a sequence of *pt and xI steps, where a power is one run."""
+    runs = _family_runs(e)
+    return None if runs is None else FamilyNode(_runs(runs))

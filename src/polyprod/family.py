@@ -1,37 +1,79 @@
-"""The inductive family: starting from the edge, each polytope branches into
-its Cartesian product with I and its join with pt, carrying the bookkeeping
-state (A, k, prod) from which the automorphism group descriptor is read off.
+"""The inductive family: starting from the edge I, each polytope branches into
+its Cartesian product with I and its join with pt.
+
+A family polytope is its factorisation into prime polytopes (Gleason and
+Hubard, *Products of abstract polytopes*, JCTA 157, 2018): one prime power
+per run of equal steps, I^x k for a run of Cartesian steps and pt^* k for a
+run of joins. The first run also takes in the root edge, as I = pt * pt =
+pt x I. Aut is the direct product of Hyp(k) for each Cartesian run and Sym(k)
+for each join run, and the bookkeeping state (A, k, prod) is read off the
+runs: the last run gives k and prod, the others A.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from . import groups
-from .groups import GroupDescriptor, Hyp, Sym
+from .groups import _EXACT_BELOW, GroupDescriptor, Hyp, Sym, format_count
 from .poset import PolytopePoset, edge, point
 from .products import CARTESIAN, JOIN, cartesian, join
 
 TIMES_STEP = "xI"
 JOIN_STEP = "*pt"
 
+# per step: its product, and how many copies of the step's atom the root
+# edge counts for when it opens the first run (I = pt x I = pt * pt)
+_STEPS = {TIMES_STEP: (CARTESIAN, 1), JOIN_STEP: (JOIN, 2)}
+_GROUP = {CARTESIAN: Hyp, JOIN: Sym}
+
 
 @dataclass
 class FamilyNode:
-    """A family member plus algorithm state.
-
-    `A` is the saved automorphism group of the last polytope built via the
-    other product (trivial descriptor for "none yet"), `k` the length of the
-    current run of same-product steps, `prod` the product used last, `path`
-    the steps from the root edge. The polytope is built from `path` when it
-    is first read, so listing nodes and reading their groups builds none.
+    """A family member as its runs: one (step, count) pair per maximal run of
+    equal steps from the root edge, with count >= 1 and neighbouring steps
+    distinct. The polytope is built when it is first read, so listing nodes
+    and reading their groups builds none.
     """
 
-    A: GroupDescriptor
-    k: int
-    prod: str
-    path: tuple[str, ...]
+    runs: tuple[tuple[str, int], ...]
+
+    def __post_init__(self):
+        for i, (step, count) in enumerate(self.runs):
+            if step not in _STEPS:
+                raise ValueError(f"unknown construction step {step!r}")
+            if count < 1 or (i and self.runs[i - 1][0] == step):
+                raise ValueError("runs need counts >= 1 and distinct neighbouring steps")
+
+    @property
+    def path(self) -> tuple[str, ...]:
+        """The steps from the root edge, each run spelled out."""
+        return tuple(step for step, count in self.runs for _ in range(count))
+
+    @property
+    def factors(self) -> tuple[tuple[str, int], ...]:
+        """One (product, k) pair per run: the prime power I^x k or pt^* k."""
+        if not self.runs:
+            return ((CARTESIAN, 1),)
+        (first, count), *rest = self.runs
+        op, root = _STEPS[first]
+        return ((op, count + root), *((_STEPS[step][0], n) for step, n in rest))
+
+    @property
+    def prod(self) -> str:
+        return self.factors[-1][0]
+
+    @property
+    def k(self) -> int:
+        return self.factors[-1][1]
+
+    @property
+    def A(self) -> GroupDescriptor:
+        """Aut of the factors before the last run."""
+        return _aut(self.factors[:-1])
 
     @cached_property
     def polytope(self) -> PolytopePoset:
@@ -39,93 +81,60 @@ class FamilyNode:
         I, pt = edge(), point()
         P = I
         for step in self.path:
-            if step == TIMES_STEP:
-                P = cartesian(P, I)
-            elif step == JOIN_STEP:
-                P = join(P, pt)
-            else:
-                raise ValueError(f"unknown construction step {step!r}")
+            P = cartesian(P, I) if step == TIMES_STEP else join(P, pt)
         return P
 
 
-def root() -> FamilyNode:
-    """The edge I with its initial state: A trivial, k = 1, prod = cartesian."""
-    return FamilyNode(A=groups.TRIVIAL, k=1, prod=CARTESIAN, path=())
+def _aut(factors) -> GroupDescriptor:
+    return groups.normalize(groups.direct(*(_GROUP[op](k) for op, k in factors)))
 
 
-def children(node: FamilyNode) -> tuple[FamilyNode, FamilyNode]:
-    """The two successors (Cartesian-with-I child, join-with-pt child).
-
-    The join child of the root is the single hard-coded base case: the
-    triangle I * pt equals pt * pt * pt, so it restarts with A trivial and
-    k = 3 rather than following the inductive rule.
-    """
-    state = (node.A, node.k, node.prod, not node.path)
+def _runs(pairs) -> tuple[tuple[str, int], ...]:
+    """Maximal runs of (step, count) pairs: equal neighbouring steps merged."""
     return tuple(
-        FamilyNode(*_step(*state, step), path=node.path + (step,))
-        for step in (TIMES_STEP, JOIN_STEP)
+        (step, sum(count for _, count in group))
+        for step, group in itertools.groupby(pairs, key=itemgetter(0))
     )
 
 
-def _step(
-    A: GroupDescriptor, k: int, prod: str, at_root: bool, step: str
-) -> tuple[GroupDescriptor, int, str]:
-    """The state (A, k, prod) of the child that ``step`` reaches from a node
-    in state (A, k, prod); ``at_root`` when that node is the root."""
-    if step == TIMES_STEP:
-        if prod == CARTESIAN:
-            return A, k + 1, CARTESIAN
-        return groups.normalize(groups.direct(A, Sym(k))), 1, CARTESIAN
-    if step == JOIN_STEP:
-        if at_root:
-            return groups.TRIVIAL, 3, JOIN
-        if prod == CARTESIAN:
-            return groups.normalize(groups.direct(A, Hyp(k))), 1, JOIN
-        return A, k + 1, JOIN
-    raise ValueError(f"unknown construction step {step!r}")
+def root() -> FamilyNode:
+    """The edge I: no steps, one Cartesian factor with k = 1."""
+    return FamilyNode(())
+
+
+def children(node: FamilyNode) -> tuple[FamilyNode, FamilyNode]:
+    """The two successors (Cartesian-with-I child, join-with-pt child)."""
+    return tuple(
+        FamilyNode(_runs((*node.runs, (step, 1)))) for step in (TIMES_STEP, JOIN_STEP)
+    )
 
 
 def aut_descriptor(node: FamilyNode) -> GroupDescriptor:
-    """Aut of the node's polytope: A times Hyp(k) after a Cartesian step,
-    A times Sym(k) after a join step."""
-    tail = Hyp(node.k) if node.prod == CARTESIAN else Sym(node.k)
-    return groups.normalize(groups.direct(node.A, tail))
+    """Aut of the node's polytope: the direct product of Hyp(k) for each
+    Cartesian factor and Sym(k) for each join factor."""
+    return _aut(node.factors)
 
 
 def enumerate_family(steps: int) -> list[FamilyNode]:
     """All 2**steps nodes at the given depth, Cartesian branch first."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    level = [root()]
-    for _ in range(steps):
-        nxt = []
-        for node in level:
-            times_child, join_child = children(node)
-            nxt.append(times_child)
-            nxt.append(join_child)
-        level = nxt
-    return level
+    return [
+        FamilyNode(_runs((step, 1) for step in path))
+        for path in itertools.product((TIMES_STEP, JOIN_STEP), repeat=steps)
+    ]
 
 
 def node_for_path(path) -> FamilyNode:
-    """The node reached from the root by ``path``, in time linear in its
-    length: each step computes the state of the one child it takes, and the
-    path is stored once, at the end."""
-    path = tuple(path)
-    start = root()
-    A, k, prod = start.A, start.k, start.prod
-    for i, step in enumerate(path):
-        A, k, prod = _step(A, k, prod, i == 0, step)
-    return FamilyNode(A=A, k=k, prod=prod, path=path)
+    """The node reached from the root by ``path``."""
+    return FamilyNode(_runs((step, 1) for step in path))
 
 
 def node_to_json(node: FamilyNode) -> dict:
     """The node's state and group as JSON data. ``order`` is the group order
     as an int below 10^4300 and, from there on, the string "at least
-    10^4300" that ``expr.format_count`` gives, since ``json.dumps`` cannot
+    10^4300" that ``groups.format_count`` gives, since ``json.dumps`` cannot
     write an int of more than 4300 digits."""
-    from .expr import _EXACT_BELOW, format_count  # here: expr imports this module
-
     descriptor = aut_descriptor(node)
     order = groups.order(descriptor)
     return {

@@ -1,10 +1,25 @@
 """Symbolic group descriptors: Sym(k), the hyperoctahedral Hyp(k) and
-direct products, with normalization and exact orders."""
+direct products, with normalization and orders, exact below 10^4300."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+# counts below 10^_EXACT_DIGITS (group orders, expression sizes) are exact and
+# printed in full, larger ones are printed as "at least" (``format_count``);
+# Python formats ints of at most 4300 digits by default
+_EXACT_DIGITS = 4300
+_EXACT_BELOW = 10**_EXACT_DIGITS
+# 2000! has 5736 digits, so Sym(k) and Hyp(k) with k above this are clamped
+# without computing k!
+_EXACT_K = 2000
+
+
+def format_count(count: int) -> str:
+    """The count in decimal, or "at least 10^4300" from 10^4300 on, where
+    Python stops converting ints to text by default."""
+    return str(count) if count < _EXACT_BELOW else f"at least 10^{_EXACT_DIGITS}"
 
 
 @dataclass(frozen=True)
@@ -44,11 +59,18 @@ def direct(*factors: GroupDescriptor) -> DirectProduct:
 
 
 def order(d: GroupDescriptor) -> int:
-    if isinstance(d, Sym):
-        return math.factorial(d.k)
-    if isinstance(d, Hyp):
-        return (1 << d.k) * math.factorial(d.k)
-    return math.prod(order(f) for f in d.factors)
+    """The order of d below 10^4300, and 10^4300 from there on. A product is
+    clamped as each factor is multiplied in, so no value computed has more
+    than twice the bound's digits."""
+    if isinstance(d, DirectProduct):
+        total = 1
+        for f in d.factors:
+            total = min(total * order(f), _EXACT_BELOW)
+        return total
+    if d.k > _EXACT_K:
+        return _EXACT_BELOW
+    n = math.factorial(d.k) << (d.k if isinstance(d, Hyp) else 0)
+    return min(n, _EXACT_BELOW)
 
 
 def _leaves(d: GroupDescriptor) -> list[GroupDescriptor]:
@@ -74,13 +96,15 @@ def equal(d1: GroupDescriptor, d2: GroupDescriptor) -> bool:
 
 
 def render(d: GroupDescriptor) -> str:
-    """Print in the conventional notation, e.g. "(Z/2Z)^3 ⋊ Sym(3)"."""
+    """Print in the conventional notation, e.g. "(Z/2Z)^3 ⋊ Sym(3)", with
+    each k written by ``format_count``."""
     if isinstance(d, Sym):
-        return f"Sym({d.k})"
+        return f"Sym({format_count(d.k)})"
     if isinstance(d, Hyp):
         if d.k == 1:
             return "Z/2Z"
-        return f"(Z/2Z)^{d.k} ⋊ Sym({d.k})"
+        k = format_count(d.k)
+        return f"(Z/2Z)^{k} ⋊ Sym({k})"
     if not d.factors:
         return "1"
     parts = []

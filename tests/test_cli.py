@@ -303,6 +303,31 @@ def test_exit_code_closure_budget(capsys):
     assert err == "budget exceeded: closure exceeds the cap of 10\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["aut", "I^x3", "--method", "generators", "--max-closure", "10"],
+            "closure exceeds the cap of 10",
+        ),
+        (
+            ["build", "I^x7", "--max-elements", "100"],
+            "expression yields 2188 faces, above the cap of 100",
+        ),
+        (
+            ["--max-elements", "5000", "build", "I^x7", "--max-elements", "100"],
+            "expression yields 2188 faces, above the cap of 100",
+        ),
+    ],
+    ids=["closure", "elements", "after-wins"],
+)
+def test_budgets_after_the_subcommand(capsys, argv, err):
+    """A budget given after the subcommand is read, and wins over one given
+    before it."""
+    assert main(argv) == 4
+    assert capsys.readouterr() == ("", f"budget exceeded: {err}\n")
+
+
 def test_decompose_pyramid(capsys):
     assert main(["decompose", "I*pt", "--as", "pyramid"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -325,6 +350,13 @@ def test_family_json(capsys):
     assert main(["family", "--steps", "1", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert [n["order"] for n in data] == [8, 6]
+
+
+def test_family_listing_matches_golden_file(capsys):
+    """``family --steps 4 --json`` is byte for byte what the step-by-step
+    state machine wrote, A included where it is not trivial."""
+    assert main(["family", "--steps", "4", "--json"]) == 0
+    assert capsys.readouterr().out == (DATA / "family_steps4.json").read_text()
 
 
 def test_family_negative_steps(capsys):
@@ -367,12 +399,33 @@ def test_formula_order_beyond_4300_digits(capsys):
 
 
 def test_formula_on_a_long_family_path(capsys):
-    """The family node of I^x100000 is found in time linear in its path, and
-    its order, of over 450000 digits, prints as a bound."""
+    """The family node of I^x100000 is one run, and its order, of over 450000
+    digits, prints as a bound."""
     start = time.perf_counter()
     assert main(["aut", "I^x100000", "--method", "formula"]) == 0
     assert time.perf_counter() - start < 5
     assert capsys.readouterr().out.endswith("Sym(100000)\norder: at least 10^4300\n")
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "formula"]])
+def test_formula_on_an_exponent_of_20_digits(capsys, method):
+    """A power is one run, so a 20-digit exponent is read without spelling
+    out its steps, and its order is clamped without computing k!."""
+    start = time.perf_counter()
+    assert main(["aut", "I^x99999999999999999999", *method]) == 0
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out.endswith("Sym(99999999999999999999)\norder: at least 10^4300\n")
+    assert err == ""
+
+
+def test_formula_on_a_k_of_4301_digits(capsys):
+    """k = 10^4300 + 1 has more digits than Python prints by default, so the
+    descriptor writes it as a bound, as it writes the order."""
+    assert main(["aut", "I*pt^*" + "9" * 4300]) == 0
+    assert capsys.readouterr() == (
+        "descriptor: Sym(at least 10^4300)\norder: at least 10^4300\n", ""
+    )
 
 
 def test_build_to_unwritable_path(tmp_path, capsys):

@@ -126,6 +126,22 @@ def test_expr_to_family_cases(text, path):
     assert (None if node is None else node.path) == path
 
 
+@pytest.mark.parametrize(
+    "text, runs",
+    [
+        ("I^x3 x I", (("xI", 3),)),
+        ("(I x I) x I^x2", (("xI", 3),)),
+        ("(I*pt^*3) x I", (("*pt", 3), ("xI", 1))),
+        ("I^x1", ()),
+        ("pt*I", None),
+    ],
+)
+def test_expr_to_family_runs(text, runs):
+    """A power is one run, and neighbouring runs of one step merge."""
+    node = pp.expr_to_family(pp.parse_expr(text))
+    assert (None if node is None else node.runs) == runs
+
+
 def test_family_node_matches_eval():
     for text in ["I", "I^x2", "I*pt", "(I*pt)xI", "(IxI)*pt", "I^x3"]:
         node = pp.expr_to_family(pp.parse_expr(text))

@@ -1,10 +1,10 @@
+import itertools
 import json
 
 import pytest
 
 import polyprod as pp
 from polyprod import family, groups
-from polyprod.autom import described_generators
 from polyprod.groups import DirectProduct, Hyp, Sym
 from polyprod.poset import PolytopePoset
 
@@ -164,16 +164,34 @@ def test_node_json_order_exact_below_4300_digits(steps, exact):
 
 
 def test_unknown_step_is_rejected():
-    """An unknown step is named, whether the node's state, its polytope or
-    its generators are asked for."""
+    """An unknown step is named when a node is made from a path or from runs,
+    so no node holds one."""
     message = "unknown construction step 'bogus'"
     with pytest.raises(ValueError, match=message):
         family.node_for_path(["bogus"])
-    node = family.FamilyNode(A=groups.TRIVIAL, k=1, prod="cartesian", path=("bogus",))
     with pytest.raises(ValueError, match=message):
-        node.polytope
-    with pytest.raises(ValueError, match=message):
-        described_generators(node)
+        family.FamilyNode((("bogus", 1),))
+
+
+@pytest.mark.parametrize("runs", [(("xI", 0),), (("xI", 1), ("xI", 2))])
+def test_runs_must_be_maximal(runs):
+    with pytest.raises(ValueError, match="runs need counts >= 1"):
+        family.FamilyNode(runs)
+
+
+def test_node_for_path_round_trips_through_step_7():
+    paths = [p for n in range(8) for p in itertools.product(("xI", "*pt"), repeat=n)]
+    assert len(paths) == 255
+    for path in paths:
+        assert family.node_for_path(path).path == path
+
+
+def test_factors_take_in_the_root_edge():
+    assert family.root().factors == (("cartesian", 1),)
+    assert family.node_for_path(["xI", "xI"]).factors == (("cartesian", 3),)
+    node = family.node_for_path(["*pt", "xI", "xI", "xI", "*pt", "*pt"])
+    assert node.runs == (("*pt", 1), ("xI", 3), ("*pt", 2))
+    assert node.factors == (("join", 3), ("cartesian", 3), ("join", 2))
 
 
 def test_formula_matches_brute_force_through_step_3():
