@@ -7,14 +7,13 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import ClosureBudgetExceeded
-from .family import JOIN_STEP, TIMES_STEP
 from .poset import DEFAULT_SEARCH_CAP, PolytopePoset, order_isomorphisms
-from .products import CARTESIAN, JOIN, _face_count, _lift, _swap
+from .products import CARTESIAN, JOIN, SHARED_FACES, _face_count, _lift, _swap
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 
-# the product each family step takes and the faces of the atom it adds
-_STEPS = {TIMES_STEP: (CARTESIAN, 4), JOIN_STEP: (JOIN, 2)}
+# the faces of the atom a factor is a power of: I^x k or pt^* k
+_ATOM_FACES = {CARTESIAN: 4, JOIN: 2}
 
 
 @dataclass(frozen=True)
@@ -190,27 +189,30 @@ def closure(
     return len(seen)
 
 
-# -- generating sets along the construction history ----------------------------
+# -- generating sets from the factorisation ------------------------------------
 
 
-def described_generators(node) -> list[FacePermutation]:
-    """Generating set of Aut(node.polytope) built recursively along the
-    node's construction history: the root edge's vertex flip, then per step
-    the swap of the two newest atoms when the step repeats the previous one
-    (the root repeats either, as I = pt * pt = pt x I), the flip of the new
-    edge for a prism step after a pyramid step, and nothing for a pyramid
-    step after a prism step. Each is an index tuple, lifted to the next
-    step's polytope by ``products._lift``."""
-    P = node.polytope
-    flip = _swap(JOIN, 2)  # edge() is laid out as pt * pt
-    gens = [flip]
-    before, n = 2, len(flip)
-    for prev, step in zip((None, *node.path), node.path):
-        op, atom = _STEPS[step]
-        gens = [_lift(op, g, range(atom)) for g in gens]
-        if prev in (None, step):
-            gens.append(_lift(op, range(before), _swap(op, atom)))
-        elif step == TIMES_STEP:
-            gens.append(_lift(CARTESIAN, range(n), flip))
-        before, n = n, _face_count(op, n, atom)
+def described_generators(P: PolytopePoset, node) -> list[FacePermutation]:
+    """Generating set of Aut(P), for P the polytope of a family-shaped
+    expression and ``node`` its family node, read off ``node.factors``.
+
+    Each factor (op, k) adds k copies of its atom, I or pt: the first copy
+    of I brings its vertex flip (I is laid out as pt * pt), and every later
+    copy its swap with the copy before. The walk starts from the first
+    factor's unit, of ``SHARED_FACES[op] + 1`` faces, as unit op Q is laid
+    out as Q, and lifts each generator onto each larger product with
+    ``products._lift``. Products are associative in layout, so every
+    spelling ``expr.expr_to_family`` accepts is laid out as this walk."""
+    flip = _swap(JOIN, 2)
+    gens = []
+    n = before = SHARED_FACES[node.factors[0][0]] + 1
+    for op, k in node.factors:
+        atom = _ATOM_FACES[op]
+        for copy in range(k):
+            gens = [_lift(op, g, range(atom)) for g in gens]
+            if copy:
+                gens.append(_lift(op, range(before), _swap(op, atom)))
+            elif op == CARTESIAN:
+                gens.append(_lift(op, range(n), flip))
+            before, n = n, _face_count(op, n, atom)
     return [FacePermutation(P, g) for g in gens]

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 polytope invalid, 2 parse error or unwritable
-output file, 3 formula method requested on a non-family expression, 4 budget
-exceeded.
+output file, 3 formula or generators method requested on a non-family
+expression, 4 budget exceeded.
 
 An expression nesting deeper than ``expr.MAX_DEPTH`` (200) levels, counting
 open parentheses and operators on one path of its tree alike (a chain
@@ -10,12 +10,11 @@ open parentheses and operators on one path of its tree alike (a chain
 ``parse error: ...`` on stderr, as does an exponent of more than 4300
 digits. An expression whose face count passes ``--max-elements`` exits 4
 with one ``budget exceeded: ...`` line, in every command but ``aut`` by
-the formula, which builds nothing (``aut --method generators`` builds the
-family polytope, which has the expression's faces). The count is given
-exactly below 10^4300 and as "at least 10^4300" above. So does one whose
-build takes more product constructions than ``--max-elements``, counting
-one per ``*`` or ``x`` and k - 1 per power, such as ``(pt x pt)^x5000``,
-which has 2 faces.
+the formula, which builds nothing (``aut --method generators`` checks it
+before the family shape). The count is given exactly below 10^4300 and as
+"at least 10^4300" above. So does one whose build takes more product
+constructions than ``--max-elements``, counting one per ``*`` or ``x`` and
+k - 1 per power, such as ``(pt x pt)^x5000``, which has 2 faces.
 
 ``--max-elements`` and ``--max-closure`` may be given before the subcommand
 or after it; a value given after it wins.
@@ -56,7 +55,7 @@ import sys
 from . import groups, poset
 from .autom import DEFAULT_CLOSURE_CAP, aut_order, closure, described_generators
 from .errors import BudgetExceeded, ParseError, PolytopeError
-from .expr import _within_budget, eval_expr, expr_to_family, parse_expr
+from .expr import eval_expr, expr_to_family, parse_expr
 from .family import aut_descriptor, enumerate_family, node_to_json
 from .groups import format_count
 from .structure import prism_decompose, pyramid_decompose
@@ -157,11 +156,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_aut(args) -> int:
     ast = parse_expr(args.expr)
-    method = args.method
-    if method == "generators":
-        # the family polytope has the expression's faces and products
-        _within_budget(ast, args.max_elements)
     node = expr_to_family(ast)
+    method = args.method
     if method is None:
         method = "formula" if node is not None else "brute"
         if node is None:
@@ -169,7 +165,10 @@ def _cmd_aut(args) -> int:
                 "note: expression is not family-shaped, falling back to brute force",
                 file=sys.stderr,
             )
-    if method in ("formula", "generators") and node is None:
+    if method != "formula":
+        # the budget is checked here, before the family shape is
+        P = eval_expr(ast, max_elements=args.max_elements)
+    if method != "brute" and node is None:
         print(
             f"method {method!r} needs a family-shaped expression "
             "(I followed by *pt and xI steps)",
@@ -181,13 +180,12 @@ def _cmd_aut(args) -> int:
         print(f"descriptor: {groups.render(descriptor)}")
         print(f"order: {format_count(groups.order(descriptor))}")
     elif method == "generators":
-        gens = described_generators(node)
+        gens = described_generators(P, node)
         # the order first, so that a budget error leaves stdout empty
         order = closure(gens, max_size=args.max_closure)
         print(f"generators: {len(gens)}")
         print(f"order: {order}")
     else:
-        P = eval_expr(ast, max_elements=args.max_elements)
         print(f"order: {aut_order(P, max_elements=args.max_elements)}")
     return EXIT_OK
 

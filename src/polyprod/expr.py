@@ -265,12 +265,16 @@ def eval_expr(e: ConstructionExpr, max_elements: int = DEFAULT_SEARCH_CAP) -> Po
     Joins and Cartesian products of polytopes are polytopes (Gleason and
     Hubard, *Products of abstract polytopes*, JCTA 157, 2018), so the
     result is not verified again; ``tests/test_expr.py`` checks the
-    guarantee on random expressions."""
+    guarantee on random expressions. Posets are immutable, so each atom is
+    built once per call and shared by every product that takes it."""
     _within_budget(e, max_elements)
+    atoms = {}
 
     def build(node: ConstructionExpr) -> PolytopePoset:
         if isinstance(node, Atom):
-            return point() if node.name == "pt" else edge()
+            if node.name not in atoms:
+                atoms[node.name] = point() if node.name == "pt" else edge()
+            return atoms[node.name]
         if isinstance(node, Product):
             return product(node.op, build(node.left), build(node.right))
         if isinstance(node, Power):

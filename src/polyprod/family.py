@@ -8,19 +8,20 @@ run of joins. The first run also takes in the root edge, as I = pt * pt =
 pt x I. Aut is the direct product of Hyp(k) for each Cartesian run and Sym(k)
 for each join run, and the bookkeeping state (A, k, prod) is read off the
 runs: the last run gives k and prod, the others A.
+
+Nodes are symbolic: a node's polytope is built from any of its expressions
+by ``expr.eval_expr``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 from . import groups
 from .groups import _EXACT_BELOW, GroupDescriptor, Hyp, Sym, format_count
-from .poset import PolytopePoset, edge, point
-from .products import CARTESIAN, JOIN, cartesian, join
+from .products import CARTESIAN, JOIN
 
 TIMES_STEP = "xI"
 JOIN_STEP = "*pt"
@@ -35,9 +36,7 @@ _GROUP = {CARTESIAN: Hyp, JOIN: Sym}
 class FamilyNode:
     """A family member as its runs: one (step, count) pair per maximal run of
     equal steps from the root edge, with count >= 1 and neighbouring steps
-    distinct. The polytope is built when it is first read, so listing nodes
-    and reading their groups builds none.
-    """
+    distinct."""
 
     runs: tuple[tuple[str, int], ...]
 
@@ -74,15 +73,6 @@ class FamilyNode:
     def A(self) -> GroupDescriptor:
         """Aut of the factors before the last run."""
         return _aut(self.factors[:-1])
-
-    @cached_property
-    def polytope(self) -> PolytopePoset:
-        # posets are immutable, so each atom is built once and shared
-        I, pt = edge(), point()
-        P = I
-        for step in self.path:
-            P = cartesian(P, I) if step == TIMES_STEP else join(P, pt)
-        return P
 
 
 def _aut(factors) -> GroupDescriptor:

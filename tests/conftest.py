@@ -1,8 +1,11 @@
+import functools
+
 import pytest
 from hypothesis import strategies as st
 
-from polyprod import cartesian, edge, join, point, power
+from polyprod import cartesian, edge, eval_expr, join, parse_expr, point, power
 from polyprod.expr import Atom, Power, Product
+from polyprod.family import FamilyNode
 from polyprod.products import CARTESIAN, JOIN
 
 # random expression trees of up to 6 atoms, for the parser round trips and
@@ -17,6 +20,28 @@ asts = st.recursive(
     ),
     max_leaves=6,
 )
+
+_STEP_TEXT = {"xI": " x I", "*pt": " * pt"}
+
+
+def family_text(node: FamilyNode, text: str = "I") -> str:
+    """The node spelt step by step: ``text`` (the root edge I), then
+    ``(...) x I`` or ``(...) * pt`` for each step of its path."""
+    for step in node.path:
+        text = f"({text}){_STEP_TEXT[step]}"
+    return text
+
+
+def family_polytope(node: FamilyNode):
+    """The node's polytope, built by ``eval_expr`` from ``family_text`` once
+    per node in a session; import it with ``from conftest import
+    family_polytope``."""
+    return _family_polytope(node.runs)
+
+
+@functools.cache
+def _family_polytope(runs):
+    return eval_expr(parse_expr(family_text(FamilyNode(runs))), max_elements=10**5)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from polyprod.cli import main
 from polyprod.groups import DirectProduct, Hyp, Sym
 from polyprod.poset import from_components
 
-from conftest import asts
+from conftest import asts, family_polytope
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +21,7 @@ def family_nodes():
     nodes = []
     for steps in range(5):
         nodes.extend(family.enumerate_family(steps))
-    return [(node, pp.aut_order(node.polytope)) for node in nodes]
+    return [(node, pp.aut_order(family_polytope(node))) for node in nodes]
 
 
 EXPECTED_ORDERS = {
@@ -76,7 +76,7 @@ def test_criterion_3_prism_pyramid_exclusivity(family_nodes):
     for node, _ in family_nodes:
         if len(node.path) < 1:
             continue
-        P = node.polytope
+        P = family_polytope(node)
         if node.prod == "cartesian":
             assert pp.pyramid_decompose(P) is None, node.path
             Q = pp.prism_decompose(P)
@@ -94,7 +94,7 @@ def test_criterion_3_prism_pyramid_exclusivity(family_nodes):
 
 def test_criterion_4_generating_sets(family_nodes):
     for node, brute in family_nodes:
-        gens = described_generators(node)
+        gens = described_generators(family_polytope(node), node)
         for g in gens:
             g.validate()
         assert closure(gens) == brute, node.path
@@ -108,7 +108,7 @@ def test_criterion_5_axiom_verifier(family_nodes, small_corpus):
             assert pp.verify_polytope(pp.join(P, Q)).is_polytope
             assert pp.verify_polytope(pp.cartesian(P, Q)).is_polytope
     for node, _ in family_nodes:
-        assert pp.verify_polytope(node.polytope).is_polytope, node.path
+        assert pp.verify_polytope(family_polytope(node)).is_polytope, node.path
     square = small_corpus["square"]
     cube = pp.power(pp.edge(), "cartesian", 3)
     for P in (square, cube):

@@ -10,6 +10,7 @@ from polyprod.errors import ClosureBudgetExceeded
 from polyprod.expr import eval_expr, parse_expr
 from polyprod.poset import SearchBudgetExceeded, from_components, order_isomorphisms
 
+from conftest import family_polytope
 from oracles import naive_automorphism_count
 
 
@@ -105,7 +106,7 @@ def test_closure_budget(square):
 
 def test_described_generators_cube():
     node = family.node_for_path(["xI", "xI"])
-    gens = described_generators(node)
+    gens = described_generators(family_polytope(node), node)
     assert len(gens) == 3
     for g in gens:
         g.validate()
@@ -114,7 +115,7 @@ def test_described_generators_cube():
 
 def test_described_generators_triangle():
     node = family.node_for_path(["*pt"])
-    gens = described_generators(node)
+    gens = described_generators(family_polytope(node), node)
     assert len(gens) == 2
     for g in gens:
         g.validate()
@@ -123,7 +124,7 @@ def test_described_generators_triangle():
 
 def test_described_generators_prism():
     node = family.node_for_path(["*pt", "xI"])
-    gens = described_generators(node)
+    gens = described_generators(family_polytope(node), node)
     for g in gens:
         g.validate()
     assert closure(gens) == 12
@@ -134,8 +135,9 @@ def test_formula_brute_generators_agree_through_step_5():
     assert len(nodes) == 63
     for node in nodes:
         formula = groups.order(family.aut_descriptor(node))
-        assert pp.aut_order(node.polytope) == formula, node.path
-        assert closure(described_generators(node)) == formula, node.path
+        P = family_polytope(node)
+        assert pp.aut_order(P) == formula, node.path
+        assert closure(described_generators(P, node)) == formula, node.path
 
 
 def test_generators_match_formula_at_step_6():
@@ -144,8 +146,9 @@ def test_generators_match_formula_at_step_6():
     checked = 0
     for node in family.enumerate_family(6):
         formula = groups.order(family.aut_descriptor(node))
-        if formula * len(node.polytope) <= 2_000_000:
-            assert closure(described_generators(node)) == formula, node.path
+        P = family_polytope(node)
+        if formula * len(P) <= 2_000_000:
+            assert closure(described_generators(P, node)) == formula, node.path
             checked += 1
     assert checked == 50
 

@@ -252,6 +252,30 @@ def test_exit_code_formula_on_non_family(capsys):
     assert main(["aut", "pt^*3", "--method", "formula"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (
+            ["aut", "pt^*3", "--method", "generators"],
+            3,
+            "method 'generators' needs a family-shaped expression "
+            "(I followed by *pt and xI steps)",
+        ),
+        (
+            ["--max-elements", "10", "aut", "pt^*4", "--method", "generators"],
+            4,
+            "budget exceeded: expression yields 16 faces, above the cap of 10",
+        ),
+    ],
+    ids=["not-family", "budget-first"],
+)
+def test_exit_codes_generators_on_non_family(capsys, argv, code, err):
+    """--method generators needs a family-shaped expression, as the formula
+    does (exit 3), but checks the face budget first (exit 4)."""
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", err + "\n")
+
+
 def test_exit_code_budget(capsys):
     assert main(["build", "I^x9"]) == 4
 
@@ -285,8 +309,8 @@ def test_only_verify_runs_the_verifier(monkeypatch, capsys, argv, runs):
 
 
 def test_generators_face_budget(capsys):
-    """aut --method generators builds the family polytope, which has the
-    expression's faces, so --max-elements bounds it as it bounds build."""
+    """aut --method generators builds the expression's polytope, so
+    --max-elements bounds it as it bounds build."""
     argv = ["aut", "I^x6", "--method", "generators"]
     assert main(["--max-elements", "729", *argv]) == 4
     captured = capsys.readouterr()

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyprod as pp
-from polyprod import expr
+from polyprod import expr, family, groups
+from polyprod.autom import closure, described_generators
 from polyprod.errors import BudgetExceeded, MixedOperatorsWithoutParens, ParseError
 from polyprod.expr import Atom, Power, Product
 from polyprod.products import CARTESIAN, JOIN
 
-from conftest import asts
+from conftest import asts, family_polytope, family_text
 
 
 def test_parse_nested_expression():
@@ -142,12 +143,39 @@ def test_expr_to_family_runs(text, runs):
     assert (None if node is None else node.runs) == runs
 
 
+_RUN_TEXT = {"xI": " x I^x{}", "*pt": " * pt^*{}"}
+
+
+def _spellings(node):
+    """Three spellings of a family node: step by step, each run as one right
+    power, and the root edge with a leading Cartesian run as one I^x k."""
+    by_runs = "I"
+    for step, count in node.runs:
+        by_runs = f"({by_runs}){_RUN_TEXT[step].format(count)}"
+    runs = node.runs
+    lead = 1
+    if runs and runs[0][0] == "xI":
+        lead += runs[0][1]
+        runs = runs[1:]
+    leading = family_text(family.FamilyNode(runs), f"I^x{lead}")
+    return family_text(node), by_runs, leading
+
+
 def test_family_node_matches_eval():
-    for text in ["I", "I^x2", "I*pt", "(I*pt)xI", "(IxI)*pt", "I^x3"]:
-        node = pp.expr_to_family(pp.parse_expr(text))
-        assert node is not None, text
-        built = pp.eval_expr(pp.parse_expr(text))
-        assert pp.is_isomorphic(built, node.polytope) is not None, text
+    """Every spelling of a family node through step 5 evaluates to one
+    layout, the one ``described_generators`` walks, so its generators
+    close to the formula's group on the built poset."""
+    nodes = [n for steps in range(6) for n in family.enumerate_family(steps)]
+    assert len(nodes) == 63
+    for node in nodes:
+        layout = family_polytope(node)
+        for text in _spellings(node):
+            assert pp.expr_to_family(pp.parse_expr(text)).runs == node.runs, text
+            P = pp.eval_expr(pp.parse_expr(text))
+            assert (P.ranks, P.upper) == (layout.ranks, layout.upper), text
+        # the generators act on the last spelling's poset
+        formula = groups.order(family.aut_descriptor(node))
+        assert closure(described_generators(P, node)) == formula, node.path
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,6 +8,8 @@ from polyprod import family, groups
 from polyprod.groups import DirectProduct, Hyp, Sym
 from polyprod.poset import PolytopePoset
 
+from conftest import family_polytope
+
 
 def test_root_state():
     r = family.root()
@@ -15,18 +17,18 @@ def test_root_state():
     assert r.prod == "cartesian"
     assert groups.normalize(r.A) == groups.TRIVIAL
     assert r.path == ()
-    assert pp.is_isomorphic(r.polytope, pp.edge()) is not None
+    assert pp.is_isomorphic(family_polytope(r), pp.edge()) is not None
 
 
 def test_children_of_root(square, triangle):
     times_child, join_child = family.children(family.root())
     assert times_child.k == 2 and times_child.prod == "cartesian"
     assert groups.normalize(times_child.A) == groups.TRIVIAL
-    assert pp.is_isomorphic(times_child.polytope, square) is not None
+    assert pp.is_isomorphic(family_polytope(times_child), square) is not None
     # hard-coded base case for the triangle
     assert join_child.k == 3 and join_child.prod == "join"
     assert groups.normalize(join_child.A) == groups.TRIVIAL
-    assert pp.is_isomorphic(join_child.polytope, triangle) is not None
+    assert pp.is_isomorphic(family_polytope(join_child), triangle) is not None
 
 
 def test_children_of_triangle(tri_prism, tetrahedron):
@@ -34,17 +36,17 @@ def test_children_of_triangle(tri_prism, tetrahedron):
     times_child, join_child = family.children(node)
     assert times_child.A == Sym(3) and times_child.k == 1
     assert times_child.prod == "cartesian"
-    assert pp.is_isomorphic(times_child.polytope, tri_prism) is not None
+    assert pp.is_isomorphic(family_polytope(times_child), tri_prism) is not None
     assert groups.normalize(join_child.A) == groups.TRIVIAL and join_child.k == 4
     assert join_child.prod == "join"
-    assert pp.is_isomorphic(join_child.polytope, tetrahedron) is not None
+    assert pp.is_isomorphic(family_polytope(join_child), tetrahedron) is not None
 
 
 def test_children_of_square(square_pyramid):
     node = family.node_for_path(["xI"])
     _, join_child = family.children(node)
     assert join_child.A == Hyp(2) and join_child.k == 1
-    assert pp.is_isomorphic(join_child.polytope, square_pyramid) is not None
+    assert pp.is_isomorphic(family_polytope(join_child), square_pyramid) is not None
 
 
 def test_aut_descriptor_examples():
@@ -75,11 +77,12 @@ def test_enumerate_counts():
 def test_rank_matches_path_length():
     for steps in range(4):
         for node in family.enumerate_family(steps):
-            assert node.polytope.rank == 1 + len(node.path)
+            P = family_polytope(node)
+            assert P.rank == 1 + len(node.path)
             size = 4
             for step in node.path:
                 size = (size - 1) * 3 + 1 if step == "xI" else size * 2
-            assert len(node.polytope) == size
+            assert len(P) == size
 
 
 def test_k_equals_trailing_run():
@@ -115,6 +118,7 @@ def _count_builds(monkeypatch) -> list:
 
 
 def test_polytopes_built_lazily(monkeypatch):
+    """Listing nodes and reading their groups builds no poset."""
     built = _count_builds(monkeypatch)
     nodes = family.enumerate_family(6)
     assert len(nodes) == 64
@@ -122,10 +126,6 @@ def test_polytopes_built_lazily(monkeypatch):
         assert groups.order(family.aut_descriptor(n)) >= 1
         family.node_to_json(n)
     assert built == []
-    node = nodes[-1]  # I * pt^*6
-    assert len(node.polytope) == 4 * 2**6
-    assert node.polytope is node.polytope
-    assert built and built[-1] == 4 * 2**6
 
 
 def test_descriptors_deep_without_polytopes(monkeypatch):
@@ -146,9 +146,10 @@ def test_node_json():
 
 
 def test_polytope_builds_each_atom_once(monkeypatch):
-    """A family polytope costs one edge, one point and one product a step."""
+    """``eval_expr`` builds each atom once per call, so a family polytope
+    costs one edge, one point and one product a step."""
     built = _count_builds(monkeypatch)
-    P = family.node_for_path(["*pt", "xI", "xI", "*pt"]).polytope
+    P = pp.eval_expr(pp.parse_expr("(((I*pt)xI)xI)*pt"))
     assert built == [4, 2, 8, 22, 64, 128] and len(P) == 128
 
 
@@ -198,4 +199,4 @@ def test_formula_matches_brute_force_through_step_3():
     for steps in range(4):
         for node in family.enumerate_family(steps):
             expected = groups.order(family.aut_descriptor(node))
-            assert expected == pp.aut_order(node.polytope), node.path
+            assert expected == pp.aut_order(family_polytope(node)), node.path

@@ -116,8 +116,9 @@ def test_product_layout_labels(small_corpus):
 
 
 def test_edge_is_laid_out_as_pt_join_pt(pt, seg):
-    """I's faces are numbered as those of pt * pt, the layout that
-    ``autom.described_generators`` starts from."""
+    """I's faces are numbered as those of pt * pt, so the vertex flip that
+    ``autom.described_generators`` gives each first copy of I is
+    ``_swap(JOIN, 2)``."""
     J = pp.join(pt, pt)
     assert seg.ranks == J.ranks and seg.upper == J.upper
 

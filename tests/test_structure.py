@@ -4,6 +4,8 @@ import polyprod as pp
 from polyprod import family, products, structure
 from polyprod.poset import from_components
 
+from conftest import family_polytope
+
 
 def test_triangle_apex_candidates(triangle):
     assert sorted(pp.pyramid_apex_candidates(triangle)) == triangle.faces_of_rank(0)
@@ -61,7 +63,7 @@ def test_point_decomposes_as_neither(pt):
 def test_family_exclusivity_through_step_3():
     for steps in range(1, 4):
         for node in family.enumerate_family(steps):
-            P = node.polytope
+            P = family_polytope(node)
             if node.prod == "cartesian":
                 assert pp.pyramid_decompose(P) is None, node.path
             else:
@@ -71,7 +73,7 @@ def test_family_exclusivity_through_step_3():
 def test_decompose_round_trips():
     for steps in range(1, 4):
         for node in family.enumerate_family(steps):
-            P = node.polytope
+            P = family_polytope(node)
             if node.prod == "cartesian":
                 Q = pp.prism_decompose(P)
                 assert Q is not None, node.path
@@ -99,7 +101,7 @@ def test_decompose_builds_only_products_of_the_right_size(monkeypatch):
     monkeypatch.setattr(products, "cartesian", recording(products.cartesian))
     for steps in range(1, 5):
         for node in family.enumerate_family(steps):
-            P = node.polytope
+            P = family_polytope(node)
             for oracle in (pp.pyramid_decompose, pp.prism_decompose):
                 sizes.clear()
                 oracle(P)

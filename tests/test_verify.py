@@ -9,6 +9,7 @@ from polyprod.errors import PolytopeError
 from polyprod.expr import eval_expr, parse_expr
 from polyprod.poset import from_components
 
+from conftest import family_polytope
 from oracles import naive_violations
 
 
@@ -158,10 +159,11 @@ def test_verifier_matches_naive_oracle_on_cover_deletions():
     of the naive oracle (which also fixes their order and their cap)."""
     rng = random.Random(4)
     for node in (n for steps in range(4) for n in family.enumerate_family(steps)):
-        covers = sorted(node.polytope.covers)
+        Q = family_polytope(node)
+        covers = sorted(Q.covers)
         for k in (0, 1, 1, 2, 3, 10, 40):
             deleted = set(rng.sample(covers, min(k, len(covers))))
-            P = from_components(node.polytope.elements(), set(covers) - deleted, check=False)
+            P = from_components(Q.elements(), set(covers) - deleted, check=False)
             report = pp.verify_polytope(P)
             diamond, disconnected = naive_violations(P)
             assert report.diamond_violations == diamond, (node.path, k)
@@ -265,7 +267,7 @@ def test_ridges_certify_every_section_of_a_polytope(shape, exact_tests):
     if isinstance(shape, str):
         P = eval_expr(parse_expr(shape))
     else:
-        P = family.node_for_path(shape).polytope
+        P = family_polytope(family.node_for_path(shape))
     assert not any(verify._uncertified(P))
     assert pp.verify_polytope(P).is_polytope
     assert exact_tests == []
