@@ -110,9 +110,10 @@ def aut_order(P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP) -> int:
     keeps the count exact on any ranked poset.
 
     Every search is a call of the public ``order_isomorphisms``, which
-    reads two tables kept on P: the search tables (signatures and signature
-    masks), built by the first search from P's reachability bitsets, and
-    the cover masks, built by the first search or by an earlier
+    reads two cached properties of P: the search tables ``P._search``
+    (signatures and signature masks), built by the first search from P's
+    reachability bitsets ``above`` and ``below``, and the cover masks
+    ``P._masks``, built by the first search or by an earlier
     ``verify_polytope`` of P. Later searches build neither.
     """
     flag = _base_flag(P)

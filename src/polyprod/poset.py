@@ -4,22 +4,21 @@ Faces are the indices 0..n-1. A polytope is stored as its Hasse diagram
 (the upper and lower covers of every face); its order tables are bitsets,
 so order queries, sections and the backtracking searches are all cheap bit
 operations. The constructor orders the faces topologically, which rejects
-cover cycles, keeps that order and builds no table. Each order table is
-derived once per poset, in one place, on its first read: the reachability
-bitsets ``above`` and ``below`` by ``_closures``, folded along the kept
-order, for the verifier, the search signatures, ``section``, the
-decomposition oracles and ``less_eq``/``up_mask``; the cover masks by
-``_cover_masks``, shared by the verifier and the searches; the search
-tables by ``_search_tables``. A poset that only feeds a product, is written
-out or has its flags permuted builds none of them. Each face also has a
-string id, its label. Labels are translated to faces and back only in
-this module: by the label API on the poset, by
-``from_components``/``from_json`` and by the serializers.
+cover cycles, keeps that order and builds no table. Every derived table is
+a ``functools.cached_property`` of the poset, built on its first read and
+kept: the reachability bitsets ``above`` and ``below``, each one fold along
+the kept order, the cover masks ``_masks`` and the search tables
+``_search``. A poset that only feeds a product, is written out or has its
+flags permuted builds none of them. Each face also has a string id, its
+label. Labels are translated to faces and back only in this module: by the
+label API on the poset, by ``from_components``/``from_json`` and by the
+serializers.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import (
@@ -48,32 +47,16 @@ class PolytopePoset:
     """Immutable ranked poset, normally with unique bottom (rank -1) and top.
 
     Face i has label ``labels[i]`` and rank ``ranks[i]``; ``upper[i]`` and
-    ``lower[i]`` are its upper and lower covers in ascending order, and
-    ``above[i]``/``below[i]`` the bitmasks of the faces >= i and <= i,
-    read-only properties built on their first read.
+    ``lower[i]`` are its upper and lower covers in ascending order.
     ``bottom_face``/``top_face`` are the unique faces of least and greatest
     rank, or None. The methods taking or returning ids are the label API.
-    The private slot ``_order`` holds the constructor's topological order of
-    the faces, and ``_above``/``_below``, ``_search`` and ``_masks`` hold
-    the reachability bitsets, the search tables and the cover masks once
-    read (see ``_closures``, ``_search_tables``, ``_cover_masks``).
+    The private ``_order`` is the constructor's topological order of the
+    faces. The derived tables are cached properties, each built on its own
+    first read: ``above`` by ``less_eq``, ``up_mask``, ``section``, the
+    decomposition oracles, the verifier and the searches; ``below`` by
+    ``section``, the verifier and the searches; ``_masks`` by the verifier
+    and the searches; ``_search`` by the searches.
     """
-
-    __slots__ = (
-        "labels",
-        "ranks",
-        "rank",
-        "upper",
-        "lower",
-        "bottom_face",
-        "top_face",
-        "_index",
-        "_order",
-        "_search",
-        "_masks",
-        "_above",
-        "_below",
-    )
 
     def __init__(self, labels, ranks, covers, check=True):
         """Faces are given by their labels and ranks, covers as pairs (i, j)
@@ -84,7 +67,6 @@ class PolytopePoset:
         self.ranks = ranks = tuple(ranks)
         n = len(self.labels)
         self._index = dict(zip(self.labels, range(n)))
-        self._search = self._masks = self._above = self._below = None
         if len(self._index) < n:
             seen = set()
             for eid in self.labels:
@@ -113,16 +95,37 @@ class PolytopePoset:
             if first is not None:
                 raise first
 
-    @property
+    @cached_property
     def above(self) -> tuple[int, ...]:
-        """The bitmask of the faces >= each face, built on the first read
-        of ``above`` or ``below`` (see ``_closures``)."""
-        return _closures(self)[0] if self._above is None else self._above
+        """The bitmask of the faces >= each face."""
+        return _fold(reversed(self._order), self.upper)
 
-    @property
+    @cached_property
     def below(self) -> tuple[int, ...]:
-        """The bitmask of the faces <= each face, built with ``above``."""
-        return _closures(self)[1] if self._below is None else self._below
+        """The bitmask of the faces <= each face."""
+        return _fold(self._order, self.lower)
+
+    @cached_property
+    def _masks(self) -> tuple[list[int], list[int]]:
+        """The masks of every face's upper and of its lower covers."""
+        pair = ([], [])
+        for covers, masks in zip((self.upper, self.lower), pair):
+            for neighbours in covers:
+                m = 0
+                for j in neighbours:
+                    m |= 1 << j
+                masks.append(m)
+        return pair
+
+    @cached_property
+    def _search(self) -> tuple[list, dict]:
+        """The search tables: the signature of every face and the mask of
+        the faces with each signature."""
+        sig = [_signature(self, i) for i in range(len(self))]
+        sig_mask: dict[tuple, int] = {}
+        for i, s in enumerate(sig):
+            sig_mask[s] = sig_mask.get(s, 0) | (1 << i)
+        return sig, sig_mask
 
     # -- construction checks ------------------------------------------------
 
@@ -188,7 +191,8 @@ class PolytopePoset:
 
     @property
     def covers(self) -> frozenset[tuple[str, str]]:
-        return frozenset(_label_covers(self))
+        labels = self.labels
+        return frozenset((labels[a], labels[b]) for a, ups in enumerate(self.upper) for b in ups)
 
     def element_ids(self) -> tuple[str, ...]:
         return self.labels
@@ -221,34 +225,16 @@ def _topological_order(upper, lower) -> list[int]:
     return order
 
 
-def _closures(P: PolytopePoset) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The masks of the faces >= and <= each face, folded along the
-    topological order the constructor kept in ``P._order``, built on the
-    first read of ``P.above`` or ``P.below`` and kept in P's
-    ``_above``/``_below`` slots (P is immutable). The constructor has
-    rejected cycles, so the order is whole."""
-    upper, lower, order = P.upper, P.lower, P._order
-    n = len(order)
-    above, below = [0] * n, [0] * n
+def _fold(order, covers) -> tuple[int, ...]:
+    """The mask of each face joined with the masks of its ``covers``, folded
+    along ``order``, in which every face comes after its covers."""
+    masks = [0] * len(covers)
     for i in order:
         m = 1 << i
-        for j in lower[i]:
-            m |= below[j]
-        below[i] = m
-    for i in reversed(order):
-        m = 1 << i
-        for j in upper[i]:
-            m |= above[j]
-        above[i] = m
-    P._above, P._below = tuple(above), tuple(below)
-    return P._above, P._below
-
-
-def _label_covers(P: PolytopePoset) -> Iterator[tuple[str, str]]:
-    labels = P.labels
-    for a, ups in enumerate(P.upper):
-        for b in ups:
-            yield labels[a], labels[b]
+        for j in covers[i]:
+            m |= masks[j]
+        masks[i] = m
+    return tuple(masks)
 
 
 def from_components(elements, covers, check=True) -> PolytopePoset:
@@ -288,13 +274,15 @@ def _induced(P: PolytopePoset, keep: int, shift: int) -> PolytopePoset:
 
 
 def flags(P: PolytopePoset) -> list[tuple[str, ...]]:
-    """All maximal chains from bottom to top, in lexicographic id order."""
+    """All maximal chains from bottom to top, in lexicographic id order
+    (see ``_id_order``)."""
     labels = P.labels
+    _, place = _id_order(P)
     out: list[tuple[str, ...]] = []
     chain = [P.bottom_face]
 
     def extend(f: int) -> None:
-        ups = sorted(P.upper[f], key=labels.__getitem__)
+        ups = sorted(P.upper[f], key=place.__getitem__)
         if not ups:
             out.append(tuple(labels[g] for g in chain))
             return
@@ -320,33 +308,6 @@ def _signature(P: PolytopePoset, i: int) -> tuple[int, int, int, int, int]:
     )
 
 
-def _cover_masks(P: PolytopePoset) -> tuple[list[int], list[int]]:
-    """The masks of every face's upper and of its lower covers, built on the
-    first read and kept in P's ``_masks`` slot (P is immutable)."""
-    if P._masks is None:
-        pair = ([], [])
-        for covers, masks in zip((P.upper, P.lower), pair):
-            for neighbours in covers:
-                m = 0
-                for j in neighbours:
-                    m |= 1 << j
-                masks.append(m)
-        P._masks = pair
-    return P._masks
-
-
-def _search_tables(P: PolytopePoset) -> tuple[list, dict]:
-    """P's search tables, the signature of every face and the mask of the
-    faces with each signature, built on the first search and kept on P."""
-    if P._search is None:
-        sig = [_signature(P, i) for i in range(len(P))]
-        sig_mask: dict[tuple, int] = {}
-        for i, s in enumerate(sig):
-            sig_mask[s] = sig_mask.get(s, 0) | (1 << i)
-        P._search = (sig, sig_mask)
-    return P._search
-
-
 def order_isomorphisms(
     P: PolytopePoset,
     Q: PolytopePoset,
@@ -370,14 +331,15 @@ def order_isomorphisms(
     an order isomorphism: it is injective on covers and both posets have the
     same number of covers, since their signature multisets agree.
 
-    Each poset keeps the tables a search reads, so the many searches of one
-    poset (``aut_order`` runs one per candidate of its stabilizer chain)
-    share them. The signatures and the faces of each signature come from
-    ``_search_tables``, for P and Q. The cover masks come from
-    ``_cover_masks``, for Q only, since P's covers are walked as lists;
-    they are the masks ``verify_polytope`` reads, so a poset verified
-    before it is searched builds them once. When Q is P the multisets agree
-    trivially and are not compared.
+    Each poset keeps the tables a search reads, as cached properties, so
+    the many searches of one poset (``aut_order`` runs one per candidate of
+    its stabilizer chain) share them. The signatures and the faces of each
+    signature are the search tables ``_search``, read for P and Q, which
+    read ``above`` and ``below``. The cover masks ``_masks`` are read for Q
+    only, since P's covers are walked as lists; they are the masks
+    ``verify_polytope`` reads, so a poset verified before it is searched
+    builds them once. When Q is P the multisets agree trivially and are not
+    compared.
 
     The next face comes from a queue of cover-neighbours of assigned faces
     that were left with at most one live candidate (forced, or a dead end to
@@ -394,8 +356,8 @@ def order_isomorphisms(
         raise SearchBudgetExceeded(
             f"poset has {n} elements, above the cap of {max_elements}"
         )
-    sig_p, by_sig_p = _search_tables(P)
-    _, sig_mask = _search_tables(Q)
+    sig_p, by_sig_p = P._search
+    _, sig_mask = Q._search
     # the multisets agree when each signature of P has as many faces in Q,
     # since |P| = |Q|
     if Q is not P and any(
@@ -410,7 +372,7 @@ def order_isomorphisms(
             return
 
     up_p, down_p = P.upper, P.lower
-    up_q, down_q = _cover_masks(Q)
+    up_q, down_q = Q._masks
     mapping = [-1] * n
     used = 0
     trail: list[tuple[int, int]] = []  # (face, live mask before narrowing)
@@ -518,11 +480,30 @@ def edge() -> PolytopePoset:
 # -- serialization -------------------------------------------------------------
 
 
+def _id_order(P: PolytopePoset) -> tuple[list[int], list[int]]:
+    """P's faces in the order the writers list ids, numbers before strings
+    and each kind in its own order, so that ids of both kinds sort
+    together; and the position of each face in that order."""
+    keys = [(isinstance(eid, str), eid) for eid in P.labels]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    place = [0] * len(order)
+    for k, i in enumerate(order):
+        place[i] = k
+    return order, place
+
+
+def _sorted_covers(P: PolytopePoset) -> list[tuple[int, int]]:
+    """P's covers (a, b), ordered by the id of a, then by the id of b."""
+    order, place = _id_order(P)
+    return [(a, b) for a in order for b in sorted(P.upper[a], key=place.__getitem__)]
+
+
 def to_json(P: PolytopePoset) -> dict:
+    labels = P.labels
     return {
         "rank": P.rank,
-        "elements": [{"id": eid, "rank": rk} for eid, rk in zip(P.labels, P.ranks)],
-        "covers": sorted([a, b] for a, b in _label_covers(P)),
+        "elements": [{"id": eid, "rank": rk} for eid, rk in zip(labels, P.ranks)],
+        "covers": [[labels[a], labels[b]] for a, b in _sorted_covers(P)],
     }
 
 
@@ -532,17 +513,15 @@ def _to_json_text(P: PolytopePoset) -> str:
     With ``indent`` set, ``json.dumps`` encodes in pure Python; here each
     label is encoded once, by the C encoder, and the fixed layout of the
     three fields is written around the encoded labels. The covers are
-    sorted as ``to_json`` sorts them, by (label a, label b)."""
+    listed in the order of ``_sorted_covers``, as in ``to_json``."""
     labels = P.labels
     ids = [json.dumps(eid) for eid in labels]
     elements = ",\n".join(
         f'    {{\n      "id": {i},\n      "rank": {rk}\n    }}' for i, rk in zip(ids, P.ranks)
     )
-    pairs = sorted(
-        (labels[a], labels[b], a, b) for a, ups in enumerate(P.upper) for b in ups
-    )
+    pairs = _sorted_covers(P)
     if pairs:
-        covers = ",\n".join(f"    [\n      {ids[a]},\n      {ids[b]}\n    ]" for *_, a, b in pairs)
+        covers = ",\n".join(f"    [\n      {ids[a]},\n      {ids[b]}\n    ]" for a, b in pairs)
         covers = f"[\n{covers}\n  ]"
     else:
         covers = "[]"
@@ -577,17 +556,17 @@ def from_json(data: dict, check: bool = True) -> PolytopePoset:
 
 def to_dot(P: PolytopePoset) -> str:
     # ids go inside DOT's double-quoted strings, where \ and " must be escaped
-    name = {eid: str(eid).replace("\\", "\\\\").replace('"', '\\"') for eid in P.labels}
+    name = [str(eid).replace("\\", "\\\\").replace('"', '\\"') for eid in P.labels]
     lines = ["digraph poset {", "  rankdir=BT;"]
-    for eid, rk in zip(P.labels, P.ranks):
-        lines.append(f'  "{name[eid]}" [label="{name[eid]}:{rk}"];')
-    by_rank: dict[int, list[str]] = {}
-    for eid, rk in zip(P.labels, P.ranks):
-        by_rank.setdefault(rk, []).append(eid)
+    for i, rk in enumerate(P.ranks):
+        lines.append(f'  "{name[i]}" [label="{name[i]}:{rk}"];')
+    by_rank: dict[int, list[int]] = {}
+    for i in _id_order(P)[0]:
+        by_rank.setdefault(P.ranks[i], []).append(i)
     for rk in sorted(by_rank):
-        members = "; ".join(f'"{name[eid]}"' for eid in sorted(by_rank[rk]))
+        members = "; ".join(f'"{name[i]}"' for i in by_rank[rk])
         lines.append(f"  {{ rank=same; {members}; }}")
-    for a, b in sorted(_label_covers(P)):
+    for a, b in _sorted_covers(P):
         lines.append(f'  "{name[a]}" -> "{name[b]}";')
     lines.append("}")
     return "\n".join(lines)

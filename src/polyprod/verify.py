@@ -21,7 +21,7 @@ from itertools import islice
 from typing import Container, Iterator, Sequence
 
 from .errors import NotBounded, NotGraded
-from .poset import PolytopePoset, _bits, _cover_masks
+from .poset import PolytopePoset, _bits
 
 MAX_VIOLATIONS = 20
 
@@ -77,7 +77,7 @@ def verify_polytope(P: PolytopePoset) -> ValidityReport:
     """
     found = {type(v) for v in P.violations()}
     labels, up, down = P.labels, P.above, P.below
-    _, lower = _cover_masks(P)
+    _, lower = P._masks
     diamonds = (
         (labels[f], labels[g], middle)
         for f, g in _intervals(P, (2,), up)

@@ -98,43 +98,23 @@ def small_corpus(pt, seg, triangle, square, tetrahedron, tri_prism, square_pyram
 
 
 @pytest.fixture
-def mask_builds(monkeypatch):
-    """The posets whose cover masks get built, in order: a call of the mask
-    builder ``_cover_masks``, from the verifier or a search, is a build
-    unless it returns the masks the poset already held."""
-    from polyprod import poset, verify
+def table_holders(monkeypatch):
+    """``table_holders(name)``: the posets constructed during the test that
+    hold the derived table ``name`` (``"above"``, ``"below"``, ``"_masks"``
+    or ``"_search"``), in order of construction. Each table is a cached
+    property, kept in the poset's ``vars`` from its first read on, so a
+    poset holds a table exactly when the table has been built for it."""
+    from polyprod.poset import PolytopePoset
 
-    builds = []
-    cover_masks = poset._cover_masks
+    posets = []
+    init = PolytopePoset.__init__
 
-    def counting(P):
-        held = getattr(P, "_masks", None)
-        masks = cover_masks(P)
-        if held is None or masks is not held:
-            builds.append(P)
-        return masks
+    def recording(P, *args, **kwargs):
+        init(P, *args, **kwargs)
+        posets.append(P)
 
-    for module in (poset, verify):
-        monkeypatch.setattr(module, "_cover_masks", counting)
-    return builds
-
-
-@pytest.fixture
-def closure_builds(monkeypatch):
-    """The posets whose reachability tables (``above``/``below``) get built,
-    in order: the tables are built on their first read, by one call of
-    ``poset._closures``."""
-    from polyprod import poset
-
-    builds = []
-    closures = poset._closures
-
-    def counting(P):
-        builds.append(P)
-        return closures(P)
-
-    monkeypatch.setattr(poset, "_closures", counting)
-    return builds
+    monkeypatch.setattr(PolytopePoset, "__init__", recording)
+    return lambda name: [P for P in posets if name in vars(P)]
 
 
 @pytest.fixture

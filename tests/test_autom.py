@@ -202,12 +202,20 @@ def test_pinned_search(square):
 
 
 def test_closure_rejects_non_automorphism(square):
-    a, b = square.faces_of_rank(0)[:2]
-    swap = list(range(len(square)))
-    swap[a], swap[b] = b, a
-    g = FacePermutation(square, tuple(swap))
-    with pytest.raises(ValueError, match="cover"):
-        closure([g])
+    """Each check of ``FacePermutation.validate`` rejects its own map: two
+    faces sent to one, a vertex swapped with an edge, and two vertices
+    swapped while their edges stay."""
+    n = len(square)
+    (a, b), e = square.faces_of_rank(0)[:2], square.faces_of_rank(1)[0]
+    cases = [
+        ({a: b}, "^not a bijection on the element set$"),
+        ({a: e, e: a}, f"^rank not preserved at face {min(a, e)}$"),
+        ({a: b, b: a}, "^cover relation not preserved$"),
+    ]
+    for images, message in cases:
+        g = FacePermutation(square, tuple(images.get(i, i) for i in range(n)))
+        with pytest.raises(ValueError, match=message):
+            closure([g])
 
 
 # property suite: group axioms on randomly drawn pairs over the corpus

@@ -598,6 +598,20 @@ def test_closed_stdout_ends_the_script_silently():
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["build", "pt^*"], "parse error: expected an exponent (at position 4)"),
+        (["build", "pt x"], "parse error: expected 'pt', 'I' or '(', got None (at position 4)"),
+        (["verify"], "verify needs an expression or --json FILE"),
+    ],
+    ids=["missing-exponent", "missing-operand", "verify-without-input"],
+)
+def test_incomplete_input_exits_2_with_one_line(capsys, argv, err):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err + "\n")
+
+
 def test_exponent_with_too_many_digits_is_a_parse_error(capsys):
     assert main(["build", "pt^*" + "9" * 5000]) == 2
     assert capsys.readouterr().err == "parse error: exponent too large (at position 2)\n"

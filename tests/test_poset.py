@@ -159,17 +159,20 @@ def _two_edges(split):
     return pp.from_components(elements, covers, check=False)
 
 
-def test_not_isomorphic_equal_size_signatures_differ():
+def test_not_isomorphic_equal_size_signatures_differ(table_holders):
     """Equal face counts, different signature multisets: no map either way,
     and the tables each search builds stay on the poset for the next one."""
     P, Q = _two_edges(2), _two_edges(3)
     assert len(P) == len(Q)
+    assert table_holders("_search") == []
     assert pp.is_isomorphic(P, Q) is None
     assert pp.is_isomorphic(Q, P) is None
-    tables = P._search
-    assert tables is not None
-    assert pp.is_isomorphic(P, _two_edges(2)) is not None
-    assert P._search is tables
+    assert table_holders("_search") == [P, Q]
+    tables = vars(P)["_search"]
+    R = _two_edges(2)
+    assert pp.is_isomorphic(P, R) is not None
+    assert vars(P)["_search"] is tables
+    assert table_holders("_search") == [P, Q, R]
 
 
 def test_isomorphic_identity(square):
@@ -282,18 +285,25 @@ def test_repeated_covers_count_once_and_self_covers_are_cycles():
     ],
     ids=["build", "aut-generators", "verify"],
 )
-def test_reachability_tables_built_only_where_read(closure_builds, capsys, argv, builds):
+def test_reachability_tables_built_only_where_read(table_holders, capsys, argv, builds):
     """Products, builds and the generators method read no reachability
-    table; the verifier builds the tables of the poset it checks, once."""
+    table; the verifier builds both tables of the poset it checks."""
     assert main(argv) == 0
-    assert len(closure_builds) == builds
+    above = table_holders("above")
+    assert len(above) == builds
+    assert table_holders("below") == above
 
 
-def test_aut_order_builds_reachability_tables_once(closure_builds):
+def test_aut_order_builds_reachability_tables_once(table_holders):
+    """Only P holds the tables, and a second aut_order reads the same ones."""
     P = pp.eval_expr(pp.parse_expr("(I*pt)xI"))
-    assert closure_builds == []
+    assert table_holders("above") == table_holders("below") == []
     assert pp.aut_order(P) == 12
-    assert closure_builds == [P]
+    assert table_holders("above") == table_holders("below") == [P]
+    tables = vars(P)["above"], vars(P)["below"]
+    assert pp.aut_order(P) == 12
+    assert vars(P)["above"] is tables[0] and vars(P)["below"] is tables[1]
+    assert table_holders("above") == table_holders("below") == [P]
 
 
 def test_reachability_tables_fold_the_constructors_order(monkeypatch):
@@ -385,14 +395,16 @@ def test_boundedness_read_from_cover_lists(covers):
     assert (between in violations) == (covers != [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
-def test_verify_then_aut_order_builds_cover_masks_once(mask_builds):
+def test_verify_then_aut_order_builds_cover_masks_once(table_holders):
     """The verifier and every search of aut_order read the one pair of
     cover masks kept on P."""
     P = pp.eval_expr(pp.parse_expr("((I*pt)x(I^x3))*(pt^*2)"))
-    assert mask_builds == []
+    assert table_holders("_masks") == []
     assert pp.verify_polytope(P).is_polytope
+    assert table_holders("_masks") == [P] and table_holders("_search") == []
+    masks = vars(P)["_masks"]
     assert pp.aut_order(P) == 576
-    assert len(mask_builds) == 1 and mask_builds[0] is P
+    assert table_holders("_masks") == [P] and vars(P)["_masks"] is masks
 
 
 def _dumped(P):
@@ -433,3 +445,22 @@ def test_json_text_equals_json_dumps_on_stored_posets(elements, covers):
     }
     P = poset.from_json(json.loads(json.dumps(data)), check=False)
     assert poset._to_json_text(P) == _dumped(P)
+
+
+def test_mixed_ids_written_numbers_first_and_read_back():
+    """``from_json`` takes string and numeric ids in one poset, so every
+    writer lists numbers before strings, and what it writes reads back."""
+    P = pp.from_components(
+        [(0, -1), ("a", 0), (2, 0), ("top", 1)],
+        [(0, "a"), (0, 2), ("a", "top"), (2, "top")],
+    )
+    assert pp.verify_polytope(P).is_polytope
+    data = poset.to_json(P)
+    assert data["covers"] == [[0, 2], [0, "a"], [2, "top"], ["a", "top"]]
+    back = poset.from_json(json.loads(json.dumps(data)))
+    assert back.elements() == P.elements() and back.covers == P.covers
+    assert poset._to_json_text(P) == _dumped(P)
+    assert pp.flags(P) == [(0, 2, "top"), (0, "a", "top")]
+    dot = poset.to_dot(P)
+    assert '{ rank=same; "2"; "a"; }' in dot
+    assert dot.index('"0" -> "2";') < dot.index('"0" -> "a";') < dot.index('"2" -> "top";')
