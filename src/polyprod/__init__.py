@@ -1,13 +1,7 @@
 """Abstract polytopes as ranked face posets: joins, Cartesian products,
 axiom verification, pyramid/prism structure and automorphism groups."""
 
-from .autom import (
-    FacePermutation,
-    aut_order,
-    automorphisms,
-    closure,
-    described_generators,
-)
+from .autom import aut_order, closure, described_generators
 from .expr import eval_expr, expr_to_family, parse_expr
 from .family import FamilyNode, aut_descriptor, children, enumerate_family, root
 from .groups import DirectProduct, Hyp, Sym
@@ -25,7 +19,6 @@ from .structure import prism_decompose, pyramid_apex_candidates, pyramid_decompo
 from .verify import ValidityReport, verify_polytope
 
 __all__ = [
-    "FacePermutation",
     "FamilyNode",
     "PolytopePoset",
     "ValidityReport",
@@ -34,7 +27,6 @@ __all__ = [
     "Sym",
     "aut_descriptor",
     "aut_order",
-    "automorphisms",
     "cartesian",
     "children",
     "closure",

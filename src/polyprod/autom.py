@@ -1,9 +1,10 @@
-"""Automorphisms: brute-force enumeration, permutation-group closure and the
-recursive generating sets for polytopes of the inductive family."""
+"""Automorphisms, each the tuple of the images of a poset's faces: the
+brute-force group order by a stabilizer chain, the order of the group a
+generating set generates, and the generating sets of the inductive family's
+polytopes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import ClosureBudgetExceeded
@@ -16,52 +17,18 @@ DEFAULT_CLOSURE_CAP = 1_000_000
 _ATOM_FACES = {CARTESIAN: 4, JOIN: 2}
 
 
-@dataclass(frozen=True)
-class FacePermutation:
-    """A rank- and order-preserving bijection of a fixed polytope's faces;
-    ``mapping[i]`` is the image of face i."""
-
-    poset: PolytopePoset
-    mapping: tuple[int, ...]
-
-    def compose(self, other: "FacePermutation") -> "FacePermutation":
-        """self after other: x -> self(other(x))."""
-        return FacePermutation(self.poset, tuple(self.mapping[y] for y in other.mapping))
-
-    def inverse(self) -> "FacePermutation":
-        inv = [0] * len(self.mapping)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return FacePermutation(self.poset, tuple(inv))
-
-    def is_identity(self) -> bool:
-        return self.mapping == tuple(range(len(self.mapping)))
-
-    def validate(self) -> None:
-        P, m = self.poset, self.mapping
-        if sorted(m) != list(range(len(P))):
-            raise ValueError("not a bijection on the element set")
-        for i, j in enumerate(m):
-            if P.ranks[i] != P.ranks[j]:
-                raise ValueError(f"rank not preserved at face {i}")
-        for a, ups in enumerate(P.upper):
-            images = P.upper[m[a]]
-            if any(m[b] not in images for b in ups):
-                raise ValueError("cover relation not preserved")
-
-
-def identity(P: PolytopePoset) -> FacePermutation:
-    return FacePermutation(P, tuple(range(len(P))))
-
-
-def automorphisms(
-    P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP
-) -> list[FacePermutation]:
-    """The full automorphism group as an explicit, deterministically ordered list."""
-    return [
-        FacePermutation(P, m)
-        for m in sorted(order_isomorphisms(P, P, max_elements=max_elements))
-    ]
+def _check_automorphism(P: PolytopePoset, m: tuple[int, ...]) -> None:
+    """ValueError unless ``m``, the tuple of the images of P's faces, is a
+    rank- and cover-preserving bijection of P."""
+    if sorted(m) != list(range(len(P))):
+        raise ValueError("not a bijection on the element set")
+    for i, j in enumerate(m):
+        if P.ranks[i] != P.ranks[j]:
+            raise ValueError(f"rank not preserved at face {i}")
+    for a, ups in enumerate(P.upper):
+        images = P.upper[m[a]]
+        if any(m[b] not in images for b in ups):
+            raise ValueError("cover relation not preserved")
 
 
 def _base_flag(P: PolytopePoset) -> list[int]:
@@ -111,10 +78,9 @@ def aut_order(P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP) -> int:
 
     Every search is a call of the public ``order_isomorphisms``, which
     reads two cached properties of P: the search tables ``P._search``
-    (signatures and signature masks), built by the first search from P's
-    reachability bitsets ``above`` and ``below``, and the cover masks
-    ``P._masks``, built by the first search or by an earlier
-    ``verify_polytope`` of P. Later searches build neither.
+    (signatures and signature masks), built from P's reachability bitsets
+    ``above`` and ``below``, and the cover masks ``P._masks``. The first
+    search builds both, and later searches build neither.
     """
     flag = _base_flag(P)
     found: list[tuple[int, ...]] = []
@@ -132,7 +98,7 @@ def aut_order(P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP) -> int:
             pins = {**fixed, flag[i]: c}
             hit = next(order_isomorphisms(P, P, max_elements, pins=pins), None)
             if hit is not None:
-                FacePermutation(P, hit).validate()
+                _check_automorphism(P, hit)
                 found.append(hit)
                 orbit = _orbit(flag[i], found)
         order *= len(orbit)
@@ -141,9 +107,12 @@ def aut_order(P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP) -> int:
 
 
 def closure(
-    generators: list[FacePermutation], max_size: int = DEFAULT_CLOSURE_CAP
+    generators: list[tuple[int, ...]],
+    P: PolytopePoset,
+    max_size: int = DEFAULT_CLOSURE_CAP,
 ) -> int:
-    """Order of the group the generators generate, counted on flags.
+    """Order of the group generated by ``generators``, each the tuple of
+    the images of P's faces, counted on flags.
 
     Precondition: the generators act on a polytope, as those of
     ``described_generators`` always do. The automorphism group of a
@@ -161,12 +130,9 @@ def closure(
     bijection (``ValueError`` otherwise). ``ClosureBudgetExceeded`` is
     raised once the orbit, and so the group, exceeds ``max_size``.
     """
-    if not generators:
-        return 1
     for g in generators:
-        g.validate()
-    gens = [g.mapping for g in generators]
-    base = tuple(_base_flag(generators[0].poset))
+        _check_automorphism(P, g)
+    base = tuple(_base_flag(P))
     if len(base) == 1:
         # itemgetter of one index returns the bare face, not a 1-tuple; the
         # flag (f, f) has one image per image of f, so the count is the same
@@ -177,7 +143,7 @@ def closure(
         new = []
         for flag in frontier:
             images = itemgetter(*flag)
-            for g in gens:
+            for g in generators:
                 image = images(g)
                 if image not in seen:
                     seen.add(image)
@@ -193,9 +159,10 @@ def closure(
 # -- generating sets from the factorisation ------------------------------------
 
 
-def described_generators(P: PolytopePoset, node) -> list[FacePermutation]:
+def described_generators(P: PolytopePoset, node) -> list[tuple[int, ...]]:
     """Generating set of Aut(P), for P the polytope of a family-shaped
-    expression and ``node`` its family node, read off ``node.factors``.
+    expression and ``node`` its family node, read off ``node.factors``, as
+    tuples of the images of P's faces.
 
     Each factor (op, k) adds k copies of its atom, I or pt: the first copy
     of I brings its vertex flip (I is laid out as pt * pt), and every later
@@ -216,4 +183,4 @@ def described_generators(P: PolytopePoset, node) -> list[FacePermutation]:
             elif op == CARTESIAN:
                 gens.append(_lift(op, range(n), flip))
             before, n = n, _face_count(op, n, atom)
-    return [FacePermutation(P, g) for g in gens]
+    return gens

@@ -182,7 +182,7 @@ def _cmd_aut(args) -> int:
     elif method == "generators":
         gens = described_generators(P, node)
         # the order first, so that a budget error leaves stdout empty
-        order = closure(gens, max_size=args.max_closure)
+        order = closure(gens, P, max_size=args.max_closure)
         print(f"generators: {len(gens)}")
         print(f"order: {order}")
     else:

@@ -51,8 +51,6 @@ class DirectProduct:
 # process, which would keep this module alive after a re-import
 GroupDescriptor = Sym | Hyp | DirectProduct
 
-TRIVIAL = DirectProduct(())
-
 
 def direct(*factors: GroupDescriptor) -> DirectProduct:
     return DirectProduct(tuple(factors))
@@ -89,10 +87,6 @@ def normalize(d: GroupDescriptor) -> GroupDescriptor:
     if len(leaves) == 1:
         return leaves[0]
     return DirectProduct(tuple(leaves))
-
-
-def equal(d1: GroupDescriptor, d2: GroupDescriptor) -> bool:
-    return normalize(d1) == normalize(d2)
 
 
 def render(d: GroupDescriptor) -> str:

@@ -53,9 +53,9 @@ class PolytopePoset:
     The private ``_order`` is the constructor's topological order of the
     faces. The derived tables are cached properties, each built on its own
     first read: ``above`` by ``less_eq``, ``up_mask``, ``section``, the
-    decomposition oracles, the verifier and the searches; ``below`` by
-    ``section``, the verifier and the searches; ``_masks`` by the verifier
-    and the searches; ``_search`` by the searches.
+    pyramid oracle, the verifier and the searches; ``below`` by
+    ``section``, the prism oracle, the verifier and the searches;
+    ``_masks`` and ``_search`` by the searches alone.
     """
 
     def __init__(self, labels, ranks, covers, check=True):
@@ -336,10 +336,8 @@ def order_isomorphisms(
     its stabilizer chain) share them. The signatures and the faces of each
     signature are the search tables ``_search``, read for P and Q, which
     read ``above`` and ``below``. The cover masks ``_masks`` are read for Q
-    only, since P's covers are walked as lists; they are the masks
-    ``verify_polytope`` reads, so a poset verified before it is searched
-    builds them once. When Q is P the multisets agree trivially and are not
-    compared.
+    only, since P's covers are walked as lists; nothing but a search reads
+    them. When Q is P the multisets agree trivially and are not compared.
 
     The next face comes from a queue of cover-neighbours of assigned faces
     that were left with at most one live candidate (forced, or a dead end to

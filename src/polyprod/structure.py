@@ -6,15 +6,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import PolytopeError
-from .poset import (
-    DEFAULT_SEARCH_CAP,
-    PolytopePoset,
-    _induced,
-    edge,
-    is_isomorphic,
-    point,
-    section,
-)
+from .poset import DEFAULT_SEARCH_CAP, PolytopePoset, _induced, edge, is_isomorphic, point
 from .products import CARTESIAN, JOIN, _face_count, product
 
 
@@ -33,34 +25,17 @@ def pyramid_apex_candidates(P: PolytopePoset) -> list[int]:
     return [v0 for v0 in vertices if len(adjacent[v0]) == len(vertices)]
 
 
-def _subposet_avoiding(P: PolytopePoset, v: int) -> Optional[PolytopePoset]:
-    """The induced poset on the faces not above v, or None if it fails the
-    structural invariants (e.g. it has several maximal elements)."""
-    try:
-        return _induced(P, ((1 << len(P)) - 1) & ~P.above[v], 0)
-    except PolytopeError:
-        return None
-
-
-def _facet_section(P: PolytopePoset, f: int) -> Optional[PolytopePoset]:
-    """The section from the bottom to the facet f, or None if f is not
-    above the bottom or the constructor rejects the section."""
-    try:
-        return section(P, P.bottom_face, f)
-    except PolytopeError:
-        return None
-
-
 def pyramid_decompose(
     P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP
 ) -> Optional[PolytopePoset]:
     """Some Q with join(Q, pt) isomorphic to P, or None.
 
-    Only apex candidates are tried: removing everything above a candidate
-    apex leaves the would-be base (skipped if the constructor rejects it),
-    which is rebuilt into a pyramid and compared against P.
+    Only apex candidates are tried: the faces not above a candidate apex
+    are the would-be base, which is rebuilt into a pyramid and compared
+    against P.
     """
-    bases = (_subposet_avoiding(P, v) for v in pyramid_apex_candidates(P))
+    faces = (1 << len(P)) - 1
+    bases = (faces & ~P.above[v] for v in pyramid_apex_candidates(P))
     return _first_base(P, bases, JOIN, point(), max_elements)
 
 
@@ -69,24 +44,32 @@ def prism_decompose(
 ) -> Optional[PolytopePoset]:
     """Some Q with cartesian(Q, I) isomorphic to P, or None.
 
-    In a prism Q x I a copy of Q sits under a facet, so trying every facet
-    section is exhaustive; a section the constructor rejects is skipped,
-    since no copy of Q is rejected.
+    In a prism Q x I a copy of Q is the faces under a facet, so trying every
+    facet is exhaustive.
     """
-    bases = (_facet_section(P, f) for f in P.faces_of_rank(P.rank - 1))
+    bases = (P.below[f] for f in P.faces_of_rank(P.rank - 1))
     return _first_base(P, bases, CARTESIAN, edge(), max_elements)
 
 
 def _first_base(P, bases, op, atom, max_elements) -> Optional[PolytopePoset]:
-    """The first base Q that is not None and whose product ``Q op atom`` is
-    isomorphic to P; None for P of rank below 1 or without a unique bottom
-    face, which no such product lacks. The product is built only when its
-    face count equals |P|, since posets of different sizes are never
-    isomorphic."""
+    """The first base Q, the subposet on the faces of one mask of ``bases``,
+    whose product ``Q op atom`` is isomorphic to P; None for P of rank below
+    1 or without a unique bottom face, which no such product lacks.
+
+    Posets of different sizes are never isomorphic, so a mask is skipped,
+    before anything is built, unless ``Q op atom`` would have |P| faces,
+    counted from the mask's ``bit_count()``. Only then is Q built, and
+    skipped if the constructor rejects it, since no base of a product is
+    rejected; then ``Q op atom`` is built and compared against P."""
     if P.rank < 1 or P.bottom_face is None:
         return None
-    for Q in bases:
-        if Q is not None and _face_count(op, len(Q), len(atom)) == len(P):
-            if is_isomorphic(product(op, Q, atom), P, max_elements=max_elements):
-                return Q
+    for keep in bases:
+        if _face_count(op, keep.bit_count(), len(atom)) != len(P):
+            continue
+        try:
+            Q = _induced(P, keep, 0)
+        except PolytopeError:
+            continue
+        if is_isomorphic(product(op, Q, atom), P, max_elements=max_elements):
+            return Q
     return None

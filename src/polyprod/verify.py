@@ -76,8 +76,7 @@ def verify_polytope(P: PolytopePoset) -> ValidityReport:
     list.
     """
     found = {type(v) for v in P.violations()}
-    labels, up, down = P.labels, P.above, P.below
-    _, lower = P._masks
+    labels, up, down, lower = P.labels, P.above, P.below, P.lower
     diamonds = (
         (labels[f], labels[g], middle)
         for f, g in _intervals(P, (2,), up)
@@ -87,7 +86,7 @@ def verify_polytope(P: PolytopePoset) -> ValidityReport:
         (labels[f], labels[g])
         for f, g in _intervals(P, range(3, P.rank - min(P.ranks) + 1), _uncertified(P))
         if (proper := up[f] & down[g] & ~(1 << f | 1 << g))
-        and not _connected(down, lower[g] & proper, proper)
+        and not _connected(down, [h for h in lower[g] if proper >> h & 1], proper)
     )
     return ValidityReport(
         bounded=NotBounded not in found,
@@ -187,7 +186,7 @@ def _uncertified(P: PolytopePoset) -> list[int]:
     return tops
 
 
-def _connected(down: tuple[int, ...], coatoms: int, proper: int) -> bool:
+def _connected(down: tuple[int, ...], coatoms: list[int], proper: int) -> bool:
     """Whether the faces ``proper`` strictly between F < G are connected by
     comparability, given ``coatoms``, the lower covers of G among them.
 
@@ -205,19 +204,16 @@ def _connected(down: tuple[int, ...], coatoms: int, proper: int) -> bool:
     The region grows from the first coatom's D_H; each pass over the
     coatoms left folds in every D_H that meets it, until a pass adds none.
     """
-    low = coatoms & -coatoms
-    region = proper & down[low.bit_length() - 1]
-    rest = coatoms ^ low
+    region = proper & down[coatoms[0]]
+    rest = coatoms[1:]
     while rest:
-        left = pending = rest
-        while pending:
-            bit = pending & -pending
-            pending ^= bit
-            below_h = down[bit.bit_length() - 1]
-            if below_h & region:
-                region |= proper & below_h
-                left ^= bit
-        if left == rest:
+        left = []
+        for h in rest:
+            if down[h] & region:
+                region |= proper & down[h]
+            else:
+                left.append(h)
+        if len(left) == len(rest):
             return False
         rest = left
     return True

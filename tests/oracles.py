@@ -143,3 +143,16 @@ def naive_violations(P, cap=20):
         if rg - rf >= 3 and middle and not connected(middle):
             disconnected.append((f, g))
     return diamond[:cap], disconnected[:cap]
+
+
+def compose(g, h):
+    """The permutation g after h, each a tuple of images: x -> g[h[x]]."""
+    return tuple(g[y] for y in h)
+
+
+def inverse(g):
+    """The inverse of the permutation g, a tuple of images."""
+    inv = [0] * len(g)
+    for i, j in enumerate(g):
+        inv[j] = i
+    return tuple(inv)

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import polyprod as pp
 from polyprod import expr, family, groups
-from polyprod.autom import closure, described_generators
+from polyprod.autom import _check_automorphism, closure, described_generators
 from polyprod.cli import main
 from polyprod.groups import DirectProduct, Hyp, Sym
-from polyprod.poset import from_components
+from polyprod.poset import from_components, order_isomorphisms
 
 from conftest import asts, family_polytope
+from oracles import compose, inverse
 
 
 @pytest.fixture(scope="module")
@@ -48,12 +49,12 @@ def test_criterion_1_formula_vs_brute_force(family_nodes):
 def test_criterion_2_worked_example(capsys):
     node = pp.expr_to_family(pp.parse_expr("((I*pt)x(I^x3))*(pt^*2)"))
     d = family.aut_descriptor(node)
-    assert groups.equal(d, DirectProduct((Sym(3), Hyp(3), Sym(2))))
+    assert groups.normalize(d) == groups.normalize(DirectProduct((Sym(3), Hyp(3), Sym(2))))
     assert groups.order(d) == 576
     times_child, join_child = family.children(node)
     assert groups.order(family.aut_descriptor(times_child)) == 1152
     dj = family.aut_descriptor(join_child)
-    assert groups.equal(dj, DirectProduct((Sym(3), Hyp(3), Sym(3))))
+    assert groups.normalize(dj) == groups.normalize(DirectProduct((Sym(3), Hyp(3), Sym(3))))
     assert groups.order(dj) == 1728
     # the CLI front end agrees
     assert main(["aut", "((I*pt)x(I^x3))*(pt^*2)", "--method", "formula"]) == 0
@@ -94,10 +95,11 @@ def test_criterion_3_prism_pyramid_exclusivity(family_nodes):
 
 def test_criterion_4_generating_sets(family_nodes):
     for node, brute in family_nodes:
-        gens = described_generators(family_polytope(node), node)
+        P = family_polytope(node)
+        gens = described_generators(P, node)
         for g in gens:
-            g.validate()
-        assert closure(gens) == brute, node.path
+            _check_automorphism(P, g)
+        assert closure(gens, P) == brute, node.path
     print("ACCEPTANCE 4: PASS (generator closures match brute force on all 31 nodes)")
 
 
@@ -148,7 +150,7 @@ def _aut_corpus():
             "triangle": pp.join(pp.edge(), pp.point()),
             "square": pp.cartesian(pp.edge(), pp.edge()),
         }.items():
-            _AUT_CACHE[name] = pp.automorphisms(P)
+            _AUT_CACHE[name] = sorted(order_isomorphisms(P, P))
     return _AUT_CACHE
 
 
@@ -159,9 +161,9 @@ def test_criterion_7a_automorphism_group_axioms(data):
     table = set(perms)
     g = data.draw(st.sampled_from(perms))
     h = data.draw(st.sampled_from(perms))
-    assert any(p.is_identity() for p in perms)
-    assert g.compose(h) in table
-    assert g.inverse() in table
+    assert tuple(range(len(g))) in table
+    assert compose(g, h) in table
+    assert inverse(g) in table
 
 
 _primitive = st.one_of(st.integers(1, 6).map(Sym), st.integers(1, 6).map(Hyp))

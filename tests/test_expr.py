@@ -175,7 +175,7 @@ def test_family_node_matches_eval():
             assert (P.ranks, P.upper) == (layout.ranks, layout.upper), text
         # the generators act on the last spelling's poset
         formula = groups.order(family.aut_descriptor(node))
-        assert closure(described_generators(P, node)) == formula, node.path
+        assert closure(described_generators(P, node), P) == formula, node.path
 
 
 @settings(max_examples=150, deadline=None)

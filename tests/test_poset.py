@@ -395,16 +395,22 @@ def test_boundedness_read_from_cover_lists(covers):
     assert (between in violations) == (covers != [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
-def test_verify_then_aut_order_builds_cover_masks_once(table_holders):
-    """The verifier and every search of aut_order read the one pair of
-    cover masks kept on P."""
+def test_verify_then_aut_order_builds_cover_masks_once(table_holders, monkeypatch):
+    """The verifier reads no cover masks; every search of aut_order reads
+    the one pair kept on P, built by the first."""
+    builds = []
+    masks = poset.PolytopePoset._masks.func
+
+    def counting(P):
+        builds.append(P)
+        return masks(P)
+
+    monkeypatch.setattr(poset.PolytopePoset._masks, "func", counting)
     P = pp.eval_expr(pp.parse_expr("((I*pt)x(I^x3))*(pt^*2)"))
-    assert table_holders("_masks") == []
     assert pp.verify_polytope(P).is_polytope
-    assert table_holders("_masks") == [P] and table_holders("_search") == []
-    masks = vars(P)["_masks"]
+    assert table_holders("_masks") == [] and table_holders("_search") == []
     assert pp.aut_order(P) == 576
-    assert table_holders("_masks") == [P] and vars(P)["_masks"] is masks
+    assert table_holders("_masks") == [P] and builds == [P]
 
 
 def _dumped(P):

@@ -4,6 +4,7 @@ import pytest
 
 import polyprod as pp
 from polyprod.errors import NonPositiveExponent
+from polyprod.poset import order_isomorphisms
 from polyprod.products import CARTESIAN, JOIN, _lift, _swap
 
 from oracles import count_by_rank
@@ -103,11 +104,11 @@ def test_product_layout_labels(small_corpus):
                     if f"({p}|{q})" in face
                 ]
                 assert len(pairs) == len(R)
-                for g in pp.automorphisms(P):
-                    for h in pp.automorphisms(Q):
-                        lifted = _lift(op, g.mapping, h.mapping)
-                        gp = dict(zip(P.labels, (P.labels[i] for i in g.mapping)))
-                        hq = dict(zip(Q.labels, (Q.labels[j] for j in h.mapping)))
+                for g in sorted(order_isomorphisms(P, P)):
+                    for h in sorted(order_isomorphisms(Q, Q)):
+                        lifted = _lift(op, g, h)
+                        gp = dict(zip(P.labels, (P.labels[i] for i in g)))
+                        hq = dict(zip(Q.labels, (Q.labels[j] for j in h)))
                         for p, q, f in pairs:
                             assert lifted[f] == face[f"({gp[p]}|{hq[q]})"]
                 if P is Q:

@@ -1,7 +1,8 @@
 import pytest
 
 import polyprod as pp
-from polyprod import family, products, structure
+from polyprod import family, poset, products, structure
+from polyprod.errors import NotBounded, PolytopeError
 from polyprod.poset import from_components
 
 from conftest import family_polytope
@@ -86,26 +87,40 @@ def test_decompose_round_trips():
 
 def test_decompose_builds_only_products_of_the_right_size(monkeypatch):
     """Neither oracle builds a candidate product whose face count differs
-    from |P|, on every family node of steps 1-4."""
-    sizes = []
+    from |P|, nor a base Q other than of the one size whose product has |P|
+    faces, on every family node of steps 1-4. Every base is an induced
+    subposet, whether built directly or as a section."""
+    sizes, bases = [], []
 
-    def recording(product):
-        def build(*args):
-            out = product(*args)
-            sizes.append(len(out))
+    def recording(build, built):
+        def wrapper(*args):
+            out = build(*args)
+            built.append(len(out))
             return out
 
-        return build
+        return wrapper
 
-    monkeypatch.setattr(products, "join", recording(products.join))
-    monkeypatch.setattr(products, "cartesian", recording(products.cartesian))
+    monkeypatch.setattr(products, "join", recording(products.join, sizes))
+    monkeypatch.setattr(products, "cartesian", recording(products.cartesian, sizes))
+    induced = recording(poset._induced, bases)
+    monkeypatch.setattr(poset, "_induced", induced)
+    monkeypatch.setattr(structure, "_induced", induced)
+    built = 0
     for steps in range(1, 5):
         for node in family.enumerate_family(steps):
             P = family_polytope(node)
-            for oracle in (pp.pyramid_decompose, pp.prism_decompose):
+            # Q * pt has 2|Q| faces, Q x I has 3|Q| - 2
+            for oracle, base in (
+                (pp.pyramid_decompose, len(P) / 2),
+                (pp.prism_decompose, (len(P) + 2) / 3),
+            ):
                 sizes.clear()
+                bases.clear()
                 oracle(P)
                 assert set(sizes) <= {len(P)}, (node.path, oracle.__name__, sizes)
+                assert set(bases) <= {base}, (node.path, oracle.__name__, bases)
+                built += len(bases)
+    assert built
 
 
 def test_pyramid_implies_apex_candidates(small_corpus):
@@ -114,19 +129,43 @@ def test_pyramid_implies_apex_candidates(small_corpus):
             assert pp.pyramid_apex_candidates(P)
 
 
-def test_subposet_avoiding_degenerate_is_none(square):
-    # without one vertex of the square, two edges are left as maximal elements
-    vertex = square.faces_of_rank(0)[0]
-    assert structure._subposet_avoiding(square, vertex) is None
+def test_pyramid_decompose_skips_a_rejected_base(monkeypatch):
+    """The square abcd with two more edges between b and d, 12 faces: b and
+    d are its apex candidates, and the faces not above either are the
+    square without that vertex, 6 faces, the size of the base of a 12-face
+    pyramid. There two edges are maximal, so the constructor rejects both
+    bases, and both are skipped."""
+    edges = {"ab": "ab", "bc": "bc", "cd": "cd", "da": "da", "bd": "bd", "db": "bd"}
+    elements = [("0", -1)] + [(v, 0) for v in "abcd"] + [(e, 1) for e in edges]
+    covers = [("0", v) for v in "abcd"] + [(e, "1") for e in edges]
+    covers += [(v, e) for e, ends in edges.items() for v in ends]
+    P = from_components(elements + [("1", 2)], covers)
+    assert [P.labels[v] for v in pp.pyramid_apex_candidates(P)] == ["b", "d"]
+    rejected = []
+    induced = structure._induced
+
+    def recording(*args):
+        try:
+            return induced(*args)
+        except PolytopeError as exc:
+            rejected.append(type(exc))
+            raise
+
+    monkeypatch.setattr(structure, "_induced", recording)
+    assert pp.pyramid_decompose(P) is None
+    assert rejected == [NotBounded, NotBounded]
 
 
-def test_subposet_avoiding_propagates_other_errors(square, monkeypatch):
+def test_pyramid_decompose_propagates_other_errors(monkeypatch):
+    """Only the constructor's rejection skips a base: any other error of the
+    base builder propagates. Every vertex of the triangle is an apex
+    candidate whose base has the size the pyramid wants."""
     def broken(*args, **kwargs):
         raise RuntimeError("not a structural error")
 
     monkeypatch.setattr(structure, "_induced", broken)
     with pytest.raises(RuntimeError):
-        structure._subposet_avoiding(square, square.faces_of_rank(0)[0])
+        pp.pyramid_decompose(pp.eval_expr(pp.parse_expr("pt^*3")))
 
 
 def test_decompose_of_unbounded_posets_is_none(square):
