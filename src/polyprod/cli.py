@@ -37,7 +37,10 @@ file cannot be read, is not JSON (or nests too deeply to decode), lacks the
 elements/covers/id/rank fields or holds a cover that is not a pair of ids.
 When the poset constructor rejects what it describes (a cycle, a dangling
 cover, a duplicate id, no elements), it prints a report whose one failure
-has check "structure" and exits 1, as for any invalid poset.
+has check "structure" and exits 1, as for any invalid poset. A poset it
+accepts with more elements than ``--max-elements`` exits 4, with one
+``budget exceeded: poset has N elements, above the cap of C`` line and
+nothing on stdout, before the axiom checker runs.
 
 ``main(argv)`` returns the exit code and may be called any number of times
 in one process; the calls share only the argument parser, built once. The
@@ -144,6 +147,10 @@ def _cmd_verify(args) -> int:
             failure = {"check": "structure", "error": str(exc)}
             print(json.dumps({"is_polytope": False, "failures": [failure]}, indent=2))
             return EXIT_INVALID
+        if len(P) > args.max_elements:
+            raise BudgetExceeded(
+                f"poset has {len(P)} elements, above the cap of {args.max_elements}"
+            )
     elif args.expr:
         P = eval_expr(parse_expr(args.expr), max_elements=args.max_elements)
     else:

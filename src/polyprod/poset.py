@@ -3,9 +3,11 @@
 Faces are the indices 0..n-1. A polytope is stored as its Hasse diagram
 (the upper and lower covers of every face); its order tables are bitsets,
 so order queries, sections and the backtracking searches are all cheap bit
-operations. The constructor orders the faces topologically, which rejects
-cover cycles, keeps that order and builds no table. Every derived table is
-a ``functools.cached_property`` of the poset, built on its first read and
+operations. The constructor takes each face's upper covers, the one place
+covers are normalised (sorted, repeats dropped), derives the lower covers
+in one pass, orders the faces topologically, which rejects cover cycles,
+keeps that order and builds no table. Every derived table is a
+``functools.cached_property`` of the poset, built on its first read and
 kept: the reachability bitsets ``above`` and ``below``, each one fold along
 the kept order, the cover masks ``_masks`` and the search tables
 ``_search``. A poset that only feeds a product, is written out or has its
@@ -58,11 +60,12 @@ class PolytopePoset:
     ``_masks`` and ``_search`` by the searches alone.
     """
 
-    def __init__(self, labels, ranks, covers, check=True):
-        """Faces are given by their labels and ranks, covers as pairs (i, j)
-        of faces with j covering i. Duplicate labels, cycles and an empty
-        face set are always rejected; with ``check`` the first structural
-        violation (see ``violations``) is raised too."""
+    def __init__(self, labels, ranks, upper, check=True):
+        """Faces are given by their labels and ranks, covers by ``upper[i]``,
+        the faces covering face i, each counted once (DanglingCover outside
+        0..n-1, ValueError unless one list per label). Duplicate labels,
+        cycles and an empty face set are always rejected; with ``check`` the
+        first structural violation (see ``violations``) is raised too."""
         self.labels = tuple(labels)
         self.ranks = ranks = tuple(ranks)
         n = len(self.labels)
@@ -76,14 +79,25 @@ class PolytopePoset:
         if not n:
             raise NotBounded("poset has no elements")
 
-        upper = [[] for _ in range(n)]
+        # sorting a set's order is slow, so sets only count repeats until a face has one
+        self.upper = upper = tuple(map(tuple, map(sorted, upper)))
+        if sum(map(len, map(set, upper))) < sum(map(len, upper)):
+            self.upper = upper = tuple(map(tuple, map(sorted, map(set, upper))))
+        if len(upper) != n:
+            raise ValueError(f"{len(upper)} cover lists for {n} elements")
+        # each list is sorted, so the least list starts with the least entry;
+        # an entry >= n fails the lower pass's indexing
+        if min(filter(None, upper), default=(0,))[0] < 0:
+            raise _dangling(self.labels, upper)
         lower = [[] for _ in range(n)]
-        for a, b in covers:
-            upper[a].append(b)
-            lower[b].append(a)
-        self.upper = tuple(tuple(sorted(u)) for u in upper)
-        self.lower = tuple(tuple(sorted(l)) for l in lower)
-        self._order = _topological_order(self.upper, self.lower)
+        try:
+            for i, ups in enumerate(upper):  # ascending i, so each lower list is sorted
+                for j in ups:
+                    lower[j].append(i)
+        except IndexError:
+            raise _dangling(self.labels, upper) from None
+        self.lower = tuple(map(tuple, lower))
+        self._order = _topological_order(upper, self.lower)
 
         min_rank = min(ranks)
         self.rank = max(ranks)
@@ -210,6 +224,13 @@ class PolytopePoset:
         return self.above[self.face(eid)]
 
 
+def _dangling(labels, upper) -> DanglingCover:
+    """The error for the first entry of ``upper`` outside the faces."""
+    n = len(labels)
+    i, j = next((i, j) for i, u in enumerate(upper) for j in u if not 0 <= j < n)
+    return DanglingCover(f"element {labels[i]!r} is covered by {j}, not a face")
+
+
 def _topological_order(upper, lower) -> list[int]:
     """One Kahn topological order of the faces along their covers; faces on
     or above a cycle never enter it, so NotGraded when it falls short."""
@@ -239,17 +260,17 @@ def _fold(order, covers) -> tuple[int, ...]:
 
 def from_components(elements, covers, check=True) -> PolytopePoset:
     """Build a poset from (id, rank) pairs and (lower id, upper id) cover
-    pairs; repeated covers count once. With ``check`` (the default) the
-    structural invariants (unique bounds, gradedness) are enforced."""
+    pairs, grouped by lower id; repeated covers count once. ``check`` (the
+    default) enforces the structural invariants (unique bounds, gradedness)."""
     elements = list(elements)
     index = {eid: i for i, (eid, _) in enumerate(elements)}
-    faces = set()
+    upper = [[] for _ in elements]
     for a, b in covers:
         if a not in index or b not in index:
             raise DanglingCover(f"cover ({a!r}, {b!r}) references unknown id")
-        faces.add((index[a], index[b]))
+        upper[index[a]].append(index[b])
     return PolytopePoset(
-        [eid for eid, _ in elements], [rk for _, rk in elements], faces, check=check
+        [eid for eid, _ in elements], [rk for _, rk in elements], upper, check=check
     )
 
 
@@ -263,13 +284,13 @@ def section(P: PolytopePoset, F: int, G: int) -> PolytopePoset:
 
 def _induced(P: PolytopePoset, keep: int, shift: int) -> PolytopePoset:
     """The subposet on the faces in the bitmask ``keep``, in ascending order
-    with their labels, P's covers among them and their ranks lowered by
-    ``shift``. The constructor's checks apply."""
+    with their labels, their upper covers in P among them and their ranks
+    lowered by ``shift``. The constructor's checks apply."""
     faces = list(_bits(keep))
     new = {f: i for i, f in enumerate(faces)}
-    covers = [(new[a], new[b]) for a in faces for b in P.upper[a] if b in new]
+    upper = [[new[b] for b in P.upper[a] if b in new] for a in faces]
     return PolytopePoset(
-        [P.labels[f] for f in faces], [P.ranks[f] - shift for f in faces], covers
+        [P.labels[f] for f in faces], [P.ranks[f] - shift for f in faces], upper
     )
 
 
@@ -465,14 +486,12 @@ def is_isomorphic(
 
 def point() -> PolytopePoset:
     """The unique rank-0 polytope pt."""
-    return PolytopePoset(("0", "1"), (-1, 0), [(0, 1)])
+    return PolytopePoset(("0", "1"), (-1, 0), [[1], []])
 
 
 def edge() -> PolytopePoset:
     """The unique rank-1 polytope I (two vertices under one edge)."""
-    return PolytopePoset(
-        ("0", "a", "b", "1"), (-1, 0, 0, 1), [(0, 1), (0, 2), (1, 3), (2, 3)]
-    )
+    return PolytopePoset(("0", "a", "b", "1"), (-1, 0, 0, 1), [[1, 2], [3], [3], []])
 
 
 # -- serialization -------------------------------------------------------------

@@ -16,11 +16,13 @@ So where each factor's bottom is its face 0, as in every product of atoms,
 face (i, j) of P op Q is ``(i - s)*(m - s) + j`` with s = ``SHARED_FACES[op]``.
 The order is lexicographic in (i, j), hence associative: (P op Q) op R and
 P op (Q op R) number their faces alike. ``_lift`` and ``_swap`` act on faces
-through it; no other module computes a product face index. Each face is
-labelled "(p|q)" with the labels p and q of its two factors' faces. Where
-that gives two faces one label (a factor id holds "|", or ids such as 1 and
-"1" print alike), every face of that product is labelled with the reprs of
-p and q instead, which are distinct since repr literals delimit themselves.
+through it; no other module computes a product face index. The covers of
+(i, j) are written in it: (i, b) for b covering j, then (b, j) for b
+covering i. Each face is labelled "(p|q)" with the labels p and q of its
+two factors' faces. Where that gives two faces one label (a factor id holds
+"|", or ids such as 1 and "1" print alike), every face of that product is
+labelled with the reprs of p and q instead, which are distinct since repr
+literals delimit themselves.
 """
 
 from __future__ import annotations
@@ -60,26 +62,25 @@ def _swap(op: str, m: int) -> tuple[int, ...]:
     return (*range(s), *((j - s) * (m - s) + i for i in range(s, m) for j in range(s, m)))
 
 
-def _poset(labels, ranks, covers) -> PolytopePoset:
+def _poset(labels, ranks, upper) -> PolytopePoset:
     """The product poset, with ``labels(format)`` its face labels written by
     ``format(p, q)``: "(p|q)", or the reprs where that repeats a label."""
     try:
-        return PolytopePoset(labels(_label), ranks, covers)
+        return PolytopePoset(labels(_label), ranks, upper)
     except DuplicateId:
-        return PolytopePoset(labels(_repr_label), ranks, covers)
+        return PolytopePoset(labels(_repr_label), ranks, upper)
 
 
 def join(P: PolytopePoset, Q: PolytopePoset) -> PolytopePoset:
     """P * Q: all pairs (F, G), ordered componentwise, rank additive plus 1."""
-    n, m = len(P), len(Q)
+    m = len(Q)
     ranks = [rp + rq + 1 for rp in P.ranks for rq in Q.ranks]
-    covers = [
-        (a * m + j, b * m + j) for a, ups in enumerate(P.upper) for b in ups for j in range(m)
+    upper = [
+        [i * m + b for b in uq] + [b * m + j for b in up]
+        for i, up in enumerate(P.upper)
+        for j, uq in enumerate(Q.upper)
     ]
-    covers += [
-        (i * m + a, i * m + b) for i in range(n) for a, ups in enumerate(Q.upper) for b in ups
-    ]
-    return _poset(lambda fmt: [fmt(p, q) for p in P.labels for q in Q.labels], ranks, covers)
+    return _poset(lambda fmt: [fmt(p, q) for p in P.labels for q in Q.labels], ranks, upper)
 
 
 def cartesian(P: PolytopePoset, Q: PolytopePoset) -> PolytopePoset:
@@ -91,20 +92,18 @@ def cartesian(P: PolytopePoset, Q: PolytopePoset) -> PolytopePoset:
     # row[i]: face (i, j) is row[i] + pos_Q(j); pos_q[j] = pos_Q(j)
     row = {i: 1 + k * m for k, i in enumerate(proper_p)}
     pos_q = {j: k for k, j in enumerate(proper_q)}
+    up_q = [[pos_q[b] for b in Q.upper[j]] for j in proper_q]  # pos_Q of their covers
 
     def labels(fmt):
         faces = [fmt(P.labels[bp], Q.labels[bq])]
         return faces + [fmt(P.labels[i], Q.labels[j]) for i in proper_p for j in proper_q]
 
     ranks = [-1] + [P.ranks[i] + Q.ranks[j] for i in proper_p for j in proper_q]
-    covers = [(0, row[v] + pos_q[w]) for v in P.faces_of_rank(0) for w in Q.faces_of_rank(0)]
-    for a in proper_p:
-        for b in P.upper[a]:
-            covers += [(row[a] + k, row[b] + k) for k in range(m)]
-    for a in proper_q:
-        for b in Q.upper[a]:
-            covers += [(row[i] + pos_q[a], row[i] + pos_q[b]) for i in proper_p]
-    return _poset(labels, ranks, covers)
+    upper = [[row[v] + pos_q[w] for v in P.faces_of_rank(0) for w in Q.faces_of_rank(0)]]
+    for i in proper_p:
+        ri, rows = row[i], [row[b] for b in P.upper[i]]
+        upper += [[ri + q for q in qs] + [r + k for r in rows] for k, qs in enumerate(up_q)]
+    return _poset(labels, ranks, upper)
 
 
 def product(op: str, P: PolytopePoset, Q: PolytopePoset) -> PolytopePoset:

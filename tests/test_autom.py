@@ -96,7 +96,7 @@ def test_closure_involution(seg):
 )
 def test_closure_counts_one_face_flags(labels, ranks, mapping, order):
     """A base flag of one face: its images are counted as faces, one each."""
-    P = poset.PolytopePoset(labels, ranks, [], check=False)
+    P = poset.PolytopePoset(labels, ranks, [[]] * len(labels), check=False)
     assert closure([mapping], P) == order
 
 

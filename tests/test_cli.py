@@ -72,6 +72,21 @@ def test_verify_round_trip_file(tmp_path, capsys):
     assert main(["verify", "--json", str(f)]) == 0
 
 
+@pytest.mark.parametrize("cap, rc", [(21, 4), (22, 0)])
+def test_verify_json_file_element_budget(capsys, cap, rc):
+    """--max-elements bounds a stored poset once it is read, before the axiom
+    checker runs: the triangular prism has 22 elements."""
+    argv = ["--max-elements", str(cap), "verify", "--json", str(DATA / "tri_prism.json")]
+    assert main(argv) == rc
+    captured = capsys.readouterr()
+    if rc:
+        assert captured.out == ""
+        assert captured.err == "budget exceeded: poset has 22 elements, above the cap of 21\n"
+    else:
+        assert json.loads(captured.out)["is_polytope"] is True
+        assert captured.err == ""
+
+
 # malformed --json files: unreadable input is a parse error (exit 2), a poset
 # the constructor rejects is an invalid poset (exit 1), never a traceback
 

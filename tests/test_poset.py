@@ -244,22 +244,22 @@ def _naive_reach(covers, start):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_ranked_posets())
-def test_closures_match_naive_search(poset_data):
+def test_reachability_tables_match_naive_search(poset_data):
     """The constructor raises NotGraded exactly when the covers close a cycle
     (self-covers included), with or without ``check``. Otherwise ``above``
     and ``below`` are the naive closures over ``P.covers``. The covers go
-    to the constructor as drawn, repeats included."""
+    through ``from_components`` to the constructor as drawn, repeats
+    included."""
     elements, label_covers = poset_data
     index = {eid: i for i, (eid, _) in enumerate(elements)}
     covers = [(index[a], index[b]) for a, b in label_covers]
     cyclic = any(a in _naive_reach(covers, b) for a, b in covers)
-    labels, ranks = zip(*elements)
     if cyclic:
         for check in (False, True):
             with pytest.raises(NotGraded, match="^cover relation contains a cycle$"):
-                poset.PolytopePoset(labels, ranks, covers, check=check)
+                pp.from_components(elements, label_covers, check=check)
         return
-    P = poset.PolytopePoset(labels, ranks, covers, check=False)
+    P = pp.from_components(elements, label_covers, check=False)
     ups = list(P.covers)
     downs = [(b, a) for a, b in ups]
     for i, eid in enumerate(P.labels):
@@ -268,12 +268,33 @@ def test_closures_match_naive_search(poset_data):
 
 
 def test_repeated_covers_count_once_and_self_covers_are_cycles():
-    repeated = [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)]
-    P = poset.PolytopePoset(("0", "a", "b", "1"), (-1, 0, 0, 1), repeated)
-    assert P.above == pp.edge().above and P.below == pp.edge().below
+    I = pp.edge()
+    P = poset.PolytopePoset(I.labels, I.ranks, [[1, 1, 2], [3], [3, 3], []])
+    assert (P.upper, P.lower) == (I.upper, I.lower)
+    assert (P.above, P.below) == (I.above, I.below)
+    assert pp.aut_order(P) == 2
+    assert poset._to_json_text(P) == poset._to_json_text(I)
     for check in (False, True):
         with pytest.raises(NotGraded, match="cycle"):
-            poset.PolytopePoset(("0", "1"), (-1, 0), [(0, 1), (1, 1)], check=check)
+            poset.PolytopePoset(("0", "1"), (-1, 0), [[1], [1]], check=check)
+
+
+@pytest.mark.parametrize(
+    "upper, error, match",
+    [
+        ([[1, 2], [3, -1], [3], []], DanglingCover, "^element 'a' is covered by -1, not a face$"),
+        ([[1, 2], [3, 7], [3], []], DanglingCover, "^element 'a' is covered by 7, not a face$"),
+        ([[1, 2], [3], [3]], ValueError, "^3 cover lists for 4 elements$"),
+    ],
+    ids=["negative", "past-the-end", "one-list-short"],
+)
+def test_cover_lists_must_name_faces(upper, error, match):
+    """An entry outside the faces 0..n-1 is DanglingCover, naming its face
+    and the entry, and cover lists not one per face are ValueError, with or
+    without ``check``."""
+    for check in (False, True):
+        with pytest.raises(error, match=match):
+            poset.PolytopePoset(("0", "a", "b", "1"), (-1, 0, 0, 1), upper, check=check)
 
 
 @pytest.mark.parametrize(
@@ -368,31 +389,31 @@ def test_violations_match_naive_reachability(poset_data):
     covers = {(index[a], index[b]) for a, b in label_covers}
     if any(a in _naive_reach(covers, b) for a, b in covers):
         return
-    P = poset.PolytopePoset(*zip(*elements), covers, check=False)
+    P = pp.from_components(elements, label_covers, check=False)
     assert [(type(v), str(v)) for v in P.violations()] == _reference_violations(P)
 
 
 @pytest.mark.parametrize(
-    "covers",
+    "upper",
     [
-        [(0, 1), (0, 2), (1, 3), (2, 3)],  # the edge
-        [(0, 3), (1, 3), (2, 3)],  # a and b have no lower cover
-        [(0, 1), (0, 2), (0, 3)],  # a and b have no upper cover
-        [(1, 0), (0, 2), (0, 3), (1, 3), (2, 3)],  # the bottom has a lower cover
-        [(0, 1), (0, 2), (1, 3), (3, 2)],  # the top has an upper cover
+        [[1, 2], [3], [3], []],  # the edge
+        [[3], [3], [3], []],  # a and b have no lower cover
+        [[1, 2, 3], [], [], []],  # a and b have no upper cover
+        [[2, 3], [0, 3], [3], []],  # the bottom has a lower cover
+        [[1, 2], [3], [], [2]],  # the top has an upper cover
     ],
     ids=["bounded", "two-minimal", "two-maximal", "under-bottom", "over-top"],
 )
-def test_boundedness_read_from_cover_lists(covers):
+def test_boundedness_read_from_cover_lists(upper):
     """Each clause of the boundedness test alone decides it, on four faces
     ranked as the edge's. The last two posets each have one face without a
     lower cover and one without an upper cover, yet the bottom has a lower
     cover or the top an upper cover, so they are not bounded."""
-    P = poset.PolytopePoset(("0", "a", "b", "1"), (-1, 0, 0, 1), covers, check=False)
+    P = poset.PolytopePoset(("0", "a", "b", "1"), (-1, 0, 0, 1), upper, check=False)
     violations = [(type(v), str(v)) for v in P.violations()]
     assert violations == _reference_violations(P)
     between = (NotBounded, "not every element lies between bottom and top")
-    assert (between in violations) == (covers != [(0, 1), (0, 2), (1, 3), (2, 3)])
+    assert (between in violations) == (upper != [[1, 2], [3], [3], []])
 
 
 def test_verify_then_aut_order_builds_cover_masks_once(table_holders, monkeypatch):
