@@ -133,9 +133,11 @@ class PolytopePoset:
 
     @cached_property
     def _search(self) -> tuple[list, dict]:
-        """The search tables: the signature of every face and the mask of
-        the faces with each signature."""
-        sig = [_signature(self, i) for i in range(len(self))]
+        """The search tables: the signature of every face (rank, numbers of
+        lower and upper covers, sizes of its down-set and up-set) and the
+        mask of the faces with each signature."""
+        down, up = map(int.bit_count, self.below), map(int.bit_count, self.above)
+        sig = list(zip(self.ranks, map(len, self.lower), map(len, self.upper), down, up))
         sig_mask: dict[tuple, int] = {}
         for i, s in enumerate(sig):
             sig_mask[s] = sig_mask.get(s, 0) | (1 << i)
@@ -319,16 +321,6 @@ def flags(P: PolytopePoset) -> list[tuple[str, ...]]:
 # -- isomorphism search ------------------------------------------------------
 
 
-def _signature(P: PolytopePoset, i: int) -> tuple[int, int, int, int, int]:
-    return (
-        P.ranks[i],
-        len(P.lower[i]),
-        len(P.upper[i]),
-        P.below[i].bit_count(),
-        P.above[i].bit_count(),
-    )
-
-
 def order_isomorphisms(
     P: PolytopePoset,
     Q: PolytopePoset,
@@ -367,6 +359,14 @@ def order_isomorphisms(
     polytope the images of a flag force every other face (diamond condition
     plus strong flag connectivity), so a search with a flag pinned takes no
     branch at all.
+
+    The walk is one loop over one stack of frames, one per selected face.
+    A frame holds the face's untried candidates as a mask, tried lowest
+    first, and its own undo marks: the queue head before the face was
+    selected, and the lengths of the trail (each narrowed live mask with its
+    old value) and of the queue before the face was assigned. Each pass
+    backs the top face out of its current candidate, down to those marks,
+    then assigns its next candidate, or pops the frame when none is left.
     """
     n = len(P)
     if len(Q) != n:
@@ -395,7 +395,6 @@ def order_isomorphisms(
     mapping = [-1] * n
     used = 0
     trail: list[tuple[int, int]] = []  # (face, live mask before narrowing)
-    assigned: list[tuple[int, int, int]] = []  # (face, len(trail), len(queue))
     queue = [i for i in range(n) if live[i].bit_count() == 1]
     head = 0
 
@@ -415,58 +414,46 @@ def order_isomorphisms(
                     best, best_count = i, count
         return best
 
-    def candidates(i: int) -> list[int]:
-        return list(_bits(live[i] & ~used))
-
-    def assign(i: int, j: int) -> None:
-        nonlocal used
-        mapping[i] = j
-        used |= 1 << j
-        assigned.append((i, len(trail), len(queue)))
-        free = ~used
-        for neighbours, images in ((up_p[i], up_q[j]), (down_p[i], down_q[j])):
-            for a in neighbours:
-                if mapping[a] >= 0:
-                    continue
-                old = live[a]
-                new = old & images
-                if new != old:
-                    trail.append((a, old))
-                    live[a] = new
-                if (new & free).bit_count() <= 1:
-                    queue.append(a)
-
-    def unassign() -> None:
-        nonlocal used
-        i, mark, queued = assigned.pop()
-        used &= ~(1 << mapping[i])
-        mapping[i] = -1
-        while len(trail) > mark:
-            a, old = trail.pop()
-            live[a] = old
-        del queue[queued:]
-
-    # frames: [face, candidate list, next candidate position,
-    #          queue head before the face was selected]
+    # frames: [face, untried candidates as a mask, queue head before the
+    #          face was selected, len(trail), len(queue) before each of its
+    #          assignments]; every face below the top frame's is assigned
     first = select()
-    stack = [[first, candidates(first), 0, 0]]
+    stack = [[first, live[first], 0, 0, len(queue)]]
     while stack:
         frame = stack[-1]
-        i, cands, pos, head_before = frame
-        if assigned and assigned[-1][0] == i:
-            unassign()
-        if pos >= len(cands):
+        i, cands, head_before, mark, queued = frame
+        if mapping[i] >= 0:
+            used ^= 1 << mapping[i]
+            mapping[i] = -1
+            while len(trail) > mark:
+                a, old = trail.pop()
+                live[a] = old
+            del queue[queued:]
+        if not cands:
             stack.pop()
             head = head_before
             continue
-        frame[2] = pos + 1
-        assign(i, cands[pos])
-        if len(assigned) == n:
+        low = cands & -cands
+        frame[1] = cands ^ low
+        mapping[i] = j = low.bit_length() - 1
+        used |= low
+        free = ~used
+        for neighbours, images in ((up_p[i], up_q[j]), (down_p[i], down_q[j])):
+            for a in neighbours:
+                if mapping[a] < 0:
+                    old = live[a]
+                    new = old & images
+                    if new != old:
+                        trail.append((a, old))
+                        live[a] = new
+                    if (new & free).bit_count() <= 1:
+                        queue.append(a)
+        if len(stack) == n:
             yield tuple(mapping)
         else:
             head_before = head
             nxt = select()
-            stack.append([nxt, candidates(nxt), 0, head_before])
+            stack.append([nxt, live[nxt] & free, head_before, len(trail), len(queue)])
 
 
 def is_isomorphic(
@@ -509,9 +496,10 @@ def _id_order(P: PolytopePoset) -> tuple[list[int], list[int]]:
     return order, place
 
 
-def _sorted_covers(P: PolytopePoset) -> list[tuple[int, int]]:
-    """P's covers (a, b), ordered by the id of a, then by the id of b."""
-    order, place = _id_order(P)
+def _sorted_covers(P: PolytopePoset, id_order: tuple) -> list[tuple[int, int]]:
+    """P's covers (a, b), ordered by the id of a, then by the id of b, from
+    ``id_order``, the pair ``_id_order(P)`` returns."""
+    order, place = id_order
     return [(a, b) for a in order for b in sorted(P.upper[a], key=place.__getitem__)]
 
 
@@ -520,7 +508,7 @@ def to_json(P: PolytopePoset) -> dict:
     return {
         "rank": P.rank,
         "elements": [{"id": eid, "rank": rk} for eid, rk in zip(labels, P.ranks)],
-        "covers": [[labels[a], labels[b]] for a, b in _sorted_covers(P)],
+        "covers": [[labels[a], labels[b]] for a, b in _sorted_covers(P, _id_order(P))],
     }
 
 
@@ -536,7 +524,7 @@ def _to_json_text(P: PolytopePoset) -> str:
     elements = ",\n".join(
         f'    {{\n      "id": {i},\n      "rank": {rk}\n    }}' for i, rk in zip(ids, P.ranks)
     )
-    pairs = _sorted_covers(P)
+    pairs = _sorted_covers(P, _id_order(P))
     if pairs:
         covers = ",\n".join(f"    [\n      {ids[a]},\n      {ids[b]}\n    ]" for a, b in pairs)
         covers = f"[\n{covers}\n  ]"
@@ -545,13 +533,16 @@ def _to_json_text(P: PolytopePoset) -> str:
     return f'{{\n  "rank": {P.rank},\n  "elements": [\n{elements}\n  ],\n  "covers": {covers}\n}}'
 
 
-_SCALAR = (str, int, float)
+def _is_id(x) -> bool:
+    """Strings and numbers are ids; bools (JSON's true and false), which
+    Python counts as ints, are not."""
+    return isinstance(x, (str, int, float)) and not isinstance(x, bool)
 
 
 def from_json(data: dict, check: bool = True) -> PolytopePoset:
     """The poset ``to_json`` wrote. ParseError when ``data`` lacks the
     elements or covers list, an element its id or integer rank, or a cover
-    is not a pair of ids (strings or numbers)."""
+    is not a pair of ids (strings or numbers, not ``true``/``false``)."""
     try:
         elements = [(e["id"], e["rank"]) for e in data["elements"]]
         covers = list(data["covers"])
@@ -559,12 +550,12 @@ def from_json(data: dict, check: bool = True) -> PolytopePoset:
         raise ParseError(f"missing field {exc}") from None
     except TypeError as exc:
         raise ParseError(f"malformed poset: {exc}") from None
-    if not all(isinstance(eid, _SCALAR) and type(rk) is int for eid, rk in elements):
+    if not all(_is_id(eid) and type(rk) is int for eid, rk in elements):
         raise ParseError("element ids must be strings or numbers, ranks integers")
     if not all(
         isinstance(cover, (list, tuple))
         and len(cover) == 2
-        and all(isinstance(x, _SCALAR) for x in cover)
+        and all(map(_is_id, cover))
         for cover in covers
     ):
         raise ParseError("covers must be pairs of element ids")
@@ -577,13 +568,14 @@ def to_dot(P: PolytopePoset) -> str:
     lines = ["digraph poset {", "  rankdir=BT;"]
     for i, rk in enumerate(P.ranks):
         lines.append(f'  "{name[i]}" [label="{name[i]}:{rk}"];')
+    id_order = _id_order(P)
     by_rank: dict[int, list[int]] = {}
-    for i in _id_order(P)[0]:
+    for i in id_order[0]:
         by_rank.setdefault(P.ranks[i], []).append(i)
     for rk in sorted(by_rank):
         members = "; ".join(f'"{name[i]}"' for i in by_rank[rk])
         lines.append(f"  {{ rank=same; {members}; }}")
-    for a, b in _sorted_covers(P):
+    for a, b in _sorted_covers(P, id_order):
         lines.append(f'  "{name[a]}" -> "{name[b]}";')
     lines.append("}")
     return "\n".join(lines)

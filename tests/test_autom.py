@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polyprod as pp
 from polyprod import family, groups, poset
@@ -199,6 +200,55 @@ def test_aut_order_exact_off_polytopes(square):
     assert pp.aut_order(mutants[-1]) == 2
 
 
+@st.composite
+def _unchecked_posets(draw):
+    """Up to 10 faces, at most 4 per rank, listed in a drawn order, and
+    covers drawn from any face to any later-listed one: they may skip ranks,
+    stay within a rank, go down in rank or repeat a path of other covers, so
+    the cover lists need not be a Hasse diagram; they close no cycle."""
+    ranks = []
+    for rk, size in enumerate(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))):
+        ranks += [rk - 1] * min(size, 10 - len(ranks))
+    ranks = draw(st.permutations(ranks))
+    pairs = [(a, b) for b in range(len(ranks)) for a in range(b)]
+    covers = draw(st.lists(st.sampled_from(pairs), max_size=16)) if pairs else []
+    elements = [(f"f{i}", rk) for i, rk in enumerate(ranks)]
+    return elements, [(f"f{a}", f"f{b}") for a, b in covers]
+
+
+# no Hasse diagram: f0 -> f3 and f1 -> f4 are covers beside the longer paths
+# f0 -> f2 -> f3 and f1 -> f2 -> f3 -> f4, and f2 -> f3 goes down in rank
+_NOT_HASSE = (
+    [("f0", 0), ("f1", 0), ("f2", 0), ("f3", -1), ("f4", -1)],
+    [("f0", "f2"), ("f0", "f3"), ("f1", "f2"), ("f1", "f4"), ("f2", "f3"), ("f3", "f4")],
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_unchecked_posets(), st.randoms(use_true_random=False))
+@example(_NOT_HASSE, random.Random(0))
+def test_search_exact_off_polytopes(poset_data, rng):
+    """On unchecked posets the search yields every rank- and
+    cover-preserving bijection once: as many as the naive count, each a
+    checked automorphism. ``is_isomorphic`` finds a map onto a copy whose
+    elements are listed in shuffled order, sending covers onto covers. A
+    search that narrowed the neighbours of a face by its image's up-set and
+    down-set instead of its covers would yield one map too many on the
+    example."""
+    elements, covers = poset_data
+    P = from_components(elements, covers, check=False)
+    maps = list(order_isomorphisms(P, P))
+    assert len(maps) == naive_automorphism_count(P)
+    assert len(set(maps)) == len(maps)
+    for m in maps:
+        _check_automorphism(P, m)
+    shuffled = rng.sample(elements, len(elements))
+    Q = from_components(shuffled, covers, check=False)
+    iso = pp.is_isomorphic(P, Q)
+    assert iso is not None and sorted(iso.values()) == sorted(Q.labels)
+    assert {(iso[a], iso[b]) for a, b in P.covers} == Q.covers
+
+
 def test_pinned_search(square):
     vertex = square.faces_of_rank(0)[0]
     fixing = list(order_isomorphisms(square, square, pins={vertex: vertex}))
@@ -266,16 +316,16 @@ def test_group_axioms_property(data):
 )
 def test_aut_order_builds_search_tables_once(monkeypatch, text, order):
     """aut_order runs one search per chain candidate, but the signatures are
-    computed once per face: the search tables are kept on the poset."""
-    calls = 0
-    signature = poset._signature
+    computed once: the search tables are built for P alone, once, and kept
+    on it."""
+    builds = []
+    search = poset.PolytopePoset._search.func
 
-    def counting(P, i):
-        nonlocal calls
-        calls += 1
-        return signature(P, i)
+    def counting(P):
+        builds.append(P)
+        return search(P)
 
-    monkeypatch.setattr(poset, "_signature", counting)
+    monkeypatch.setattr(poset.PolytopePoset._search, "func", counting)
     P = eval_expr(parse_expr(text))
     assert pp.aut_order(P) == order
-    assert calls <= len(P)
+    assert builds == [P]

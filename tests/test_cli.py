@@ -117,6 +117,44 @@ def test_verify_json_file_unparsable(tmp_path, capsys, text, message):
     assert message in captured.err
 
 
+def _tri_prism_true_bottom():
+    """tri_prism.json with its bottom id set to true, in its element and in
+    every cover from it."""
+    data = json.loads((DATA / "tri_prism.json").read_text())
+    (bottom,) = [e["id"] for e in data["elements"] if e["rank"] == -1]
+    for e in data["elements"]:
+        if e["id"] == bottom:
+            e["id"] = True
+    data["covers"] = [[True if x == bottom else x for x in c] for c in data["covers"]]
+    return data
+
+
+_IDS = "element ids must be strings or numbers, ranks integers"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_tri_prism_true_bottom(), _IDS),
+        ({"elements": [{"id": True, "rank": -1}, {"id": 1, "rank": 0}], "covers": [[True, 1]]},
+         _IDS),
+        ({"elements": _ELEMENTS, "covers": [["0", True]]}, "covers must be pairs of element ids"),
+    ],
+    ids=["true-bottom", "true-and-1", "true-cover-end"],
+)
+def test_verify_json_bools_are_not_ids(tmp_path, capsys, data, message):
+    """JSON true and false are not ids, though Python reads them as ints:
+    the triangular prism with its bottom id set to true is no polytope but a
+    parse error, ids true and 1 are not a duplicate, and a cover may not end
+    in true."""
+    f = tmp_path / "bool.json"
+    f.write_text(json.dumps(data))
+    assert main(["verify", "--json", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "elements, covers, error",
     [

@@ -452,8 +452,8 @@ def test_json_text_equals_json_dumps_on_built_posets(ast):
 @pytest.mark.parametrize(
     "elements, covers",
     [
-        # int, float and bool ids, as from_json accepts them
-        ([(0, -1), (2.5, 0), (-7, 0), (True, 1)], [(0, 2.5), (0, -7), (2.5, True), (-7, True)]),
+        # int and float ids, as from_json accepts them
+        ([(0, -1), (2.5, 0), (-7, 0), (1e3, 1)], [(0, 2.5), (0, -7), (2.5, 1e3), (-7, 1e3)]),
         # quotes, backslashes and non-ASCII text must be escaped as json does
         (
             [("0", -1), ('say "hi"', 0), ("back\\slash", 0), ("été ☃", 1)],
