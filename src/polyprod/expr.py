@@ -29,6 +29,7 @@ from .family import JOIN_STEP, TIMES_STEP, FamilyNode, _runs
 from .groups import _EXACT_BELOW, format_count
 from .poset import DEFAULT_SEARCH_CAP, PolytopePoset, edge, point
 from .products import CARTESIAN, JOIN, SHARED_FACES, _face_count, power, product
+from .products import _TABLES, _power_tables
 
 
 @dataclass(frozen=True)
@@ -260,28 +261,35 @@ def _within_budget(e: ConstructionExpr, cap: int) -> None:
 
 
 def eval_expr(e: ConstructionExpr, max_elements: int = DEFAULT_SEARCH_CAP) -> PolytopePoset:
-    """Build the face poset of an expression.
+    """Build the face poset of an expression, with one poset per expression.
 
     Joins and Cartesian products of polytopes are polytopes (Gleason and
-    Hubard, *Products of abstract polytopes*, JCTA 157, 2018), so the
-    result is not verified again; ``tests/test_expr.py`` checks the
-    guarantee on random expressions. Posets are immutable, so each atom is
-    built once per call and shared by every product that takes it."""
+    Hubard, *Products of abstract polytopes*, JCTA 157, 2018), so only the
+    root is a checked ``PolytopePoset``: every product below it is built as
+    plain tables (``products._TABLES``), whose labels need no repr fallback,
+    since expression labels nest in balanced parentheses. The result is not
+    verified again; ``tests/test_expr.py`` checks the guarantee on random
+    expressions. Posets are immutable, so each atom is built once per call
+    and shared by every product that takes it."""
     _within_budget(e, max_elements)
     atoms = {}
 
-    def build(node: ConstructionExpr) -> PolytopePoset:
+    def build(node: ConstructionExpr, root: bool):
         if isinstance(node, Atom):
             if node.name not in atoms:
                 atoms[node.name] = point() if node.name == "pt" else edge()
             return atoms[node.name]
+        if isinstance(node, Power) and node.k == 1:
+            return build(node.base, root)
         if isinstance(node, Product):
-            return product(node.op, build(node.left), build(node.right))
+            left, right = build(node.left, False), build(node.right, False)
+            return product(node.op, left, right) if root else _TABLES[node.op](left, right)
         if isinstance(node, Power):
-            return power(build(node.base), node.op, node.k)
+            base = build(node.base, False)
+            return (power if root else _power_tables)(base, node.op, node.k)
         raise TypeError(f"not an expression node: {node!r}")
 
-    return build(e)
+    return build(e, True)
 
 
 # the family step each product makes, and the atom it adds as a right factor

@@ -3,24 +3,28 @@
 Faces are the indices 0..n-1. A polytope is stored as its Hasse diagram
 (the upper and lower covers of every face); its order tables are bitsets,
 so order queries, sections and the backtracking searches are all cheap bit
-operations. The constructor takes each face's upper covers, the one place
-covers are normalised (sorted, repeats dropped), derives the lower covers
-in one pass, orders the faces topologically, which rejects cover cycles,
-keeps that order and builds no table. Every derived table is a
-``functools.cached_property`` of the poset, built on its first read and
-kept: the reachability bitsets ``above`` and ``below``, each one fold along
-the kept order, the cover masks ``_masks`` and the search tables
-``_search``. A poset that only feeds a product, is written out or has its
-flags permuted builds none of them. Each face also has a string id, its
-label. Labels are translated to faces and back only in this module: by the
-label API on the poset, by ``from_components``/``from_json`` and by the
-serializers.
+operations. The constructor takes each face's upper covers and is the one
+place covers are normalised: a list not strictly ascending is sorted, its
+repeats dropped. One pass over the covers derives the lower covers and
+tests whether every cover raises rank by one. If so, the faces in rank
+order are a topological order; otherwise Kahn's walk orders them and
+rejects cover cycles. The constructor keeps that order and builds no
+table. Every derived table is a ``functools.cached_property`` of the
+poset, built on its first read and kept: the reachability bitsets
+``above`` and ``below``, each one fold along the kept order, the cover
+masks ``_masks`` and the search tables ``_search``. A poset that only
+feeds a product, is written out or has its flags permuted builds none of
+them. Each face also has a string id, its label. Labels are translated to
+faces and back only in this module: by the label API on the poset, by
+``from_components``/``from_json`` and by the serializers.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import chain, compress
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import (
@@ -53,9 +57,10 @@ class PolytopePoset:
     ``bottom_face``/``top_face`` are the unique faces of least and greatest
     rank, or None. The methods taking or returning ids are the label API.
     The private ``_order`` is the constructor's topological order of the
-    faces. The derived tables are cached properties, each built on its own
-    first read: ``above`` by ``less_eq``, ``up_mask``, ``section``, the
-    pyramid oracle, the verifier and the searches; ``below`` by
+    faces: by rank when ``_rank_steps``, which is whether every cover raises
+    rank by one. The derived tables are cached properties, each built on
+    its own first read: ``above`` by ``less_eq``, ``up_mask``, ``section``,
+    the pyramid oracle, the verifier and the searches; ``below`` by
     ``section``, the prism oracle, the verifier and the searches;
     ``_masks`` and ``_search`` by the searches alone.
     """
@@ -79,25 +84,25 @@ class PolytopePoset:
         if not n:
             raise NotBounded("poset has no elements")
 
-        # sorting a set's order is slow, so sets only count repeats until a face has one
-        self.upper = upper = tuple(map(tuple, map(sorted, upper)))
-        if sum(map(len, map(set, upper))) < sum(map(len, upper)):
-            self.upper = upper = tuple(map(tuple, map(sorted, map(set, upper))))
+        self.upper = upper = tuple(map(tuple, upper))
         if len(upper) != n:
             raise ValueError(f"{len(upper)} cover lists for {n} elements")
-        # each list is sorted, so the least list starts with the least entry;
-        # an entry >= n fails the lower pass's indexing
-        if min(filter(None, upper), default=(0,))[0] < 0:
-            raise _dangling(self.labels, upper)
-        lower = [[] for _ in range(n)]
-        try:
-            for i, ups in enumerate(upper):  # ascending i, so each lower list is sorted
-                for j in ups:
-                    lower[j].append(i)
-        except IndexError:
-            raise _dangling(self.labels, upper) from None
+        found = _lower(upper, ranks)
+        if found is None:
+            # a list is out of order, repeats a face or leaves the faces: sort
+            # every list with repeats dropped and pass again
+            self.upper = upper = tuple(map(tuple, map(sorted, map(set, upper))))
+            found = _lower(upper, ranks)
+            if found is None:  # now only where an entry leaves the faces
+                raise _dangling(self.labels, upper)
+        lower, self._rank_steps = found
         self.lower = tuple(map(tuple, lower))
-        self._order = _topological_order(upper, self.lower)
+        # where every cover raises rank by one, no cycle is possible and the
+        # faces in rank order are a topological order
+        if self._rank_steps:
+            self._order = sorted(range(n), key=ranks.__getitem__)
+        else:
+            self._order = _topological_order(upper, self.lower)
 
         min_rank = min(ranks)
         self.rank = max(ranks)
@@ -132,16 +137,19 @@ class PolytopePoset:
         return pair
 
     @cached_property
-    def _search(self) -> tuple[list, dict]:
-        """The search tables: the signature of every face (rank, numbers of
-        lower and upper covers, sizes of its down-set and up-set) and the
-        mask of the faces with each signature."""
+    def _search(self) -> tuple[list[int], dict]:
+        """The search tables: the class of every face, numbering the
+        signatures (rank, numbers of lower and upper covers, sizes of its
+        down-set and up-set) in order of first face, and the mask of the
+        faces with each signature, in class order."""
         down, up = map(int.bit_count, self.below), map(int.bit_count, self.above)
-        sig = list(zip(self.ranks, map(len, self.lower), map(len, self.upper), down, up))
-        sig_mask: dict[tuple, int] = {}
-        for i, s in enumerate(sig):
-            sig_mask[s] = sig_mask.get(s, 0) | (1 << i)
-        return sig, sig_mask
+        index: dict[tuple, int] = {}
+        sig = zip(self.ranks, map(len, self.lower), map(len, self.upper), down, up)
+        classes = [index.setdefault(s, len(index)) for s in sig]
+        masks = [0] * len(index)
+        for i, c in enumerate(classes):
+            masks[c] |= 1 << i
+        return classes, dict(zip(index, masks))
 
     # -- construction checks ------------------------------------------------
 
@@ -150,9 +158,11 @@ class PolytopePoset:
         covers that do not raise rank by one (NotGraded), then at most one
         boundedness defect (NotBounded), then faces above rank -1 without a
         lower cover or below the top rank without an upper cover (NotGraded).
-        ``verify_polytope`` reads its bounded and graded verdicts from here."""
+        ``verify_polytope`` reads its bounded and graded verdicts from here.
+        The covers are tested one by one only when the constructor found
+        one that does not raise rank by one."""
         labels, ranks = self.labels, self.ranks
-        for a, ups in enumerate(self.upper):
+        for a, ups in enumerate(() if self._rank_steps else self.upper):
             for b in ups:
                 if ranks[b] != ranks[a] + 1:
                     yield NotGraded(
@@ -231,6 +241,28 @@ def _dangling(labels, upper) -> DanglingCover:
     n = len(labels)
     i, j = next((i, j) for i, u in enumerate(upper) for j in u if not 0 <= j < n)
     return DanglingCover(f"element {labels[i]!r} is covered by {j}, not a face")
+
+
+def _lower(upper, ranks) -> Optional[tuple[list[list[int]], bool]]:
+    """The lower covers of every face, each list ascending, and whether
+    every cover raises rank by exactly one, from one pass over ``upper``;
+    None as soon as a list is not strictly ascending within 0..n-1."""
+    lower = [[] for _ in upper]
+    steps = True
+    try:
+        for i, ups in enumerate(upper):  # ascending i, so each lower list is sorted
+            r = ranks[i] + 1
+            last = -1
+            for j in ups:
+                if j <= last:
+                    return None
+                if ranks[j] != r:
+                    steps = False
+                lower[j].append(i)
+                last = j
+    except IndexError:  # an entry past the last face
+        return None
+    return lower, steps
 
 
 def _topological_order(upper, lower) -> list[int]:
@@ -351,6 +383,8 @@ def order_isomorphisms(
     read ``above`` and ``below``. The cover masks ``_masks`` are read for Q
     only, since P's covers are walked as lists; nothing but a search reads
     them. When Q is P the multisets agree trivially and are not compared.
+    The first live masks and the first queue (the faces with one
+    candidate) are read off the classes of P's faces, in C-level passes.
 
     The next face comes from a queue of cover-neighbours of assigned faces
     that were left with at most one live candidate (forced, or a dead end to
@@ -375,7 +409,7 @@ def order_isomorphisms(
         raise SearchBudgetExceeded(
             f"poset has {n} elements, above the cap of {max_elements}"
         )
-    sig_p, by_sig_p = P._search
+    classes, by_sig_p = P._search
     _, sig_mask = Q._search
     # the multisets agree when each signature of P has as many faces in Q,
     # since |P| = |Q|
@@ -384,18 +418,23 @@ def order_isomorphisms(
     ):
         return
 
-    live = [sig_mask[s] for s in sig_p]
+    # the faces of Q with the signature of each class of P; per face, one
+    # lookup by class, C-level
+    images = [sig_mask[s] for s in by_sig_p]
+    live = list(map(images.__getitem__, classes))
+    forced = list(map([m.bit_count() == 1 for m in images].__getitem__, classes))
     for i, j in (pins or {}).items():
         live[i] &= 1 << j
         if not live[i]:
             return
+        forced[i] = True
 
     up_p, down_p = P.upper, P.lower
     up_q, down_q = Q._masks
     mapping = [-1] * n
     used = 0
     trail: list[tuple[int, int]] = []  # (face, live mask before narrowing)
-    queue = [i for i in range(n) if live[i].bit_count() == 1]
+    queue = list(compress(range(n), forced))
     head = 0
 
     def select() -> int:
@@ -533,6 +572,9 @@ def _to_json_text(P: PolytopePoset) -> str:
     return f'{{\n  "rank": {P.rank},\n  "elements": [\n{elements}\n  ],\n  "covers": {covers}\n}}'
 
 
+_ID_TYPES = {str, int, float}
+
+
 def _is_id(x) -> bool:
     """Strings and numbers are ids; bools (JSON's true and false), which
     Python counts as ints, are not."""
@@ -544,15 +586,24 @@ def from_json(data: dict, check: bool = True) -> PolytopePoset:
     elements or covers list, an element its id or integer rank, or a cover
     is not a pair of ids (strings or numbers, not ``true``/``false``)."""
     try:
-        elements = [(e["id"], e["rank"]) for e in data["elements"]]
+        elements = list(map(itemgetter("id", "rank"), data["elements"]))
         covers = list(data["covers"])
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from None
     except TypeError as exc:
         raise ParseError(f"malformed poset: {exc}") from None
-    if not all(_is_id(eid) and type(rk) is int for eid, rk in elements):
+    # exact types first, in C-level passes; the per-item test decides when
+    # they fail, so a subclass of str or int is an id and a bool is not
+    if not (
+        set(map(type, map(itemgetter(0), elements))) <= _ID_TYPES
+        and set(map(type, map(itemgetter(1), elements))) <= {int}
+    ) and not all(_is_id(eid) and type(rk) is int for eid, rk in elements):
         raise ParseError("element ids must be strings or numbers, ranks integers")
-    if not all(
+    if not (
+        set(map(type, covers)) <= {list, tuple}
+        and set(map(len, covers)) <= {2}
+        and set(map(type, chain.from_iterable(covers))) <= _ID_TYPES
+    ) and not all(
         isinstance(cover, (list, tuple))
         and len(cover) == 2
         and all(map(_is_id, cover))

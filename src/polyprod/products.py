@@ -23,9 +23,19 @@ two factors' faces. Where that gives two faces one label (a factor id holds
 "|", or ids such as 1 and "1" print alike), every face of that product is
 labelled with the reprs of p and q instead, which are distinct since repr
 literals delimit themselves.
+
+A product is built as plain tables first (``_Tables``: labels, ranks and
+upper covers, by ``_join`` or ``_cartesian``), which a factor may be in
+place of a poset. ``join``, ``cartesian`` and ``product`` hand the tables to
+one checked ``PolytopePoset``. ``power`` and ``expr.eval_expr`` keep every
+product below the last as tables, labelled "(p|q)", so a power or an
+expression costs one poset; ``power`` builds its products one checked
+poset at a time only where those labels repeat.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .errors import DuplicateId, NonPositiveExponent
 from .poset import PolytopePoset
@@ -62,48 +72,96 @@ def _swap(op: str, m: int) -> tuple[int, ...]:
     return (*range(s), *((j - s) * (m - s) + i for i in range(s, m) for j in range(s, m)))
 
 
-def _poset(labels, ranks, upper) -> PolytopePoset:
-    """The product poset, with ``labels(format)`` its face labels written by
-    ``format(p, q)``: "(p|q)", or the reprs where that repeats a label."""
-    try:
-        return PolytopePoset(labels(_label), ranks, upper)
-    except DuplicateId:
-        return PolytopePoset(labels(_repr_label), ranks, upper)
+class _Tables(NamedTuple):
+    """A product built as plain tables: face labels, ranks and upper covers,
+    which ``PolytopePoset`` takes as they are. The products below the root of
+    an expression or a power are kept so and feed the next product."""
+
+    labels: list
+    ranks: list
+    upper: list
+
+    @property
+    def bottom_face(self) -> int:
+        return self.ranks.index(min(self.ranks))
 
 
-def join(P: PolytopePoset, Q: PolytopePoset) -> PolytopePoset:
-    """P * Q: all pairs (F, G), ordered componentwise, rank additive plus 1."""
-    m = len(Q)
+def _join(P, Q, fmt=_label) -> _Tables:
+    """The tables of P * Q, with each face (p, q) labelled ``fmt(p, q)``."""
+    m = len(Q.ranks)
+    labels = [fmt(p, q) for p in P.labels for q in Q.labels]
     ranks = [rp + rq + 1 for rp in P.ranks for rq in Q.ranks]
-    upper = [
-        [i * m + b for b in uq] + [b * m + j for b in up]
-        for i, up in enumerate(P.upper)
-        for j, uq in enumerate(Q.upper)
-    ]
-    return _poset(lambda fmt: [fmt(p, q) for p in P.labels for q in Q.labels], ranks, upper)
+    upper = []
+    _add_covers(upper, range(len(P.ranks)), range(0, len(P.ranks) * m, m), P.upper, Q.upper)
+    return _Tables(labels, ranks, upper)
 
 
-def cartesian(P: PolytopePoset, Q: PolytopePoset) -> PolytopePoset:
-    """P x Q: pairs of faces of rank >= 0 plus one joint bottom, rank additive."""
+def _cartesian(P, Q, fmt=_label) -> _Tables:
+    """The tables of P x Q, with each face (p, q) labelled ``fmt(p, q)``."""
     bp, bq = P.bottom_face, Q.bottom_face
-    proper_p = [i for i in range(len(P)) if i != bp]
-    proper_q = [j for j in range(len(Q)) if j != bq]
+    proper_p = [i for i in range(len(P.ranks)) if i != bp]
+    proper_q = [j for j in range(len(Q.ranks)) if j != bq]
     m = len(proper_q)
     # row[i]: face (i, j) is row[i] + pos_Q(j); pos_q[j] = pos_Q(j)
     row = {i: 1 + k * m for k, i in enumerate(proper_p)}
     pos_q = {j: k for k, j in enumerate(proper_q)}
     up_q = [[pos_q[b] for b in Q.upper[j]] for j in proper_q]  # pos_Q of their covers
 
-    def labels(fmt):
-        faces = [fmt(P.labels[bp], Q.labels[bq])]
-        return faces + [fmt(P.labels[i], Q.labels[j]) for i in proper_p for j in proper_q]
-
+    labels = [fmt(P.labels[bp], Q.labels[bq])]
+    labels += [fmt(P.labels[i], Q.labels[j]) for i in proper_p for j in proper_q]
     ranks = [-1] + [P.ranks[i] + Q.ranks[j] for i in proper_p for j in proper_q]
-    upper = [[row[v] + pos_q[w] for v in P.faces_of_rank(0) for w in Q.faces_of_rank(0)]]
-    for i in proper_p:
-        ri, rows = row[i], [row[b] for b in P.upper[i]]
-        upper += [[ri + q for q in qs] + [r + k for r in rows] for k, qs in enumerate(up_q)]
-    return _poset(labels, ranks, upper)
+    vertices_q = [pos_q[w] for w, r in enumerate(Q.ranks) if r == 0]
+    upper = [[row[v] + w for v, r in enumerate(P.ranks) if r == 0 for w in vertices_q]]
+    _add_covers(upper, proper_p, row, P.upper, up_q)
+    return _Tables(labels, ranks, upper)
+
+
+def _add_covers(upper, rows, start, up_p, up_q) -> None:
+    """Append to ``upper`` the covers of each face (i, j), for i in ``rows``
+    and j over ``up_q``, where (i, j) is face ``start[i] + j``: (i, b) for b
+    in ``up_q[j]``, then (b, j) for b in ``up_p[i]``. Each list is ascending
+    when the covers in ``up_p`` and ``up_q`` are and each covering row
+    starts past the row below it.
+
+    Plain loops and appends: on Python 3.11 a comprehension is a function
+    call, which a product of small factors would pay once per face."""
+    for i in rows:
+        s = start[i]
+        block = []
+        for ups in up_q:
+            lifted = []
+            for b in ups:
+                lifted.append(s + b)
+            block.append(lifted)
+        for b in up_p[i]:
+            k = start[b]
+            for lifted in block:
+                lifted.append(k)
+                k += 1
+        upper += block
+
+
+def _poset(build, P, Q) -> PolytopePoset:
+    """The product poset ``build`` makes, its faces labelled "(p|q)", or by
+    the reprs where that repeats a label."""
+    try:
+        return PolytopePoset(*build(P, Q, _label))
+    except DuplicateId:
+        return PolytopePoset(*build(P, Q, _repr_label))
+
+
+def join(P: PolytopePoset, Q: PolytopePoset) -> PolytopePoset:
+    """P * Q: all pairs (F, G), ordered componentwise, rank additive plus 1."""
+    return _poset(_join, P, Q)
+
+
+def cartesian(P: PolytopePoset, Q: PolytopePoset) -> PolytopePoset:
+    """P x Q: pairs of faces of rank >= 0 plus one joint bottom, rank additive."""
+    return _poset(_cartesian, P, Q)
+
+
+# the table builder of each product, for ``_power_tables`` and ``expr.eval_expr``
+_TABLES = {JOIN: _join, CARTESIAN: _cartesian}
 
 
 def product(op: str, P: PolytopePoset, Q: PolytopePoset) -> PolytopePoset:
@@ -118,12 +176,29 @@ def product(op: str, P: PolytopePoset, Q: PolytopePoset) -> PolytopePoset:
 
 
 def power(P: PolytopePoset, op: str, k: int) -> PolytopePoset:
-    """Left-associated k-fold product of P with itself under `op`."""
+    """Left-associated k-fold product of P with itself under `op`. The
+    products below the last are built as tables, labelled "(p|q)"."""
     if k < 1:
         raise NonPositiveExponent(f"exponent must be >= 1, got {k}")
     if op not in SHARED_FACES:
         raise ValueError(f"unknown product {op!r}")
+    if k == 1:
+        return P
+    try:
+        return product(op, _power_tables(P, op, k - 1), P)
+    except DuplicateId:
+        # a lower product repeated a label, which its tables kept: build
+        # every product as a poset, each relabelling by reprs as it needs
+        result = P
+        for _ in range(k - 1):
+            result = product(op, result, P)
+        return result
+
+
+def _power_tables(P, op: str, k: int):
+    """P op P op ... op P, k factors, left-associated, as tables; P itself
+    when k is 1."""
     result = P
     for _ in range(k - 1):
-        result = product(op, result, P)
+        result = _TABLES[op](result, P)
     return result

@@ -1,0 +1,55 @@
+"""``bench/ab.py`` times two source trees on one benchmark workload,
+interleaved pass by pass, and reports a tree whose answers fail the
+benchmark's check. No test here reads a timing."""
+
+from __future__ import annotations
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _trees(tmp_path):
+    trees = tmp_path / "base", tmp_path / "new"
+    for tree in trees:
+        shutil.copytree(ROOT / "src", tree, ignore=shutil.ignore_patterns("__pycache__"))
+    return trees
+
+
+def _ab(base, new):
+    argv = [sys.executable, str(ROOT / "bench" / "ab.py"), str(base), str(new),
+            "--workload", "symmetry", "--seed", "1", "--passes", "2"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=600)
+    return proc.returncode, json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_ab_reports_each_tree_and_the_ratios(tmp_path):
+    base, new = _trees(tmp_path)
+    rc, report = _ab(base, new)
+    assert rc == 0 and report["correct"] is True
+    assert (report["workload"], report["seed"], report["passes"]) == ("symmetry", 1, 2)
+    assert report["queries"] >= 100
+    metrics = ("wall_s", "query_p50_ms", "query_p90_ms")
+    assert set(report["ratios"]) == set(metrics)
+    for side, tree in (("base", base), ("new", new)):
+        r = report["trees"][side]
+        assert r["src"] == str(tree) and r["failed"] == 0 and r["failures"] == []
+        assert all(r[m] > 0 for m in metrics)
+        assert r["query_p50_ms"] <= r["query_p90_ms"] <= r["wall_s"] * 1000
+    for m in metrics:
+        assert report["ratios"][m] == report["trees"]["new"][m] / report["trees"]["base"][m]
+
+
+def test_ab_reports_a_tree_with_wrong_answers_as_failing(tmp_path):
+    base, new = _trees(tmp_path)
+    with open(new / "polyprod" / "cli.py", "a") as fh:
+        fh.write("\n\n_main = main\n\n\ndef main(argv=None):\n    _main(argv)\n    return 9\n")
+    rc, report = _ab(base, new)
+    assert rc == 1 and report["correct"] is False
+    assert report["trees"]["base"]["failed"] == 0
+    assert report["trees"]["new"]["failed"] == 2 * report["queries"]
+    assert report["trees"]["new"]["failures"][0].endswith("exit code 9, expected 0")

@@ -197,6 +197,32 @@ def test_expr_size_matches_built_poset(ast):
     assert pp.verify_polytope(P).is_polytope
 
 
+def _stepwise(e):
+    """The poset of an expression folded from the public ``product``, one
+    checked poset per product, a power's k - 1 products included."""
+    if isinstance(e, Atom):
+        return pp.point() if e.name == "pt" else pp.edge()
+    if isinstance(e, Product):
+        return pp.product(e.op, _stepwise(e.left), _stepwise(e.right))
+    base = P = _stepwise(e.base)
+    for _ in range(e.k - 1):
+        P = pp.product(e.op, P, base)
+    return P
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(asts)
+def test_one_poset_per_expression_equals_stepwise_products(ast):
+    """eval_expr builds the products below the root as tables and checks
+    only the root; the poset equals the one built a checked product at a
+    time, table by table."""
+    if expr.expr_size(ast) > 400:
+        return
+    P, Q = pp.eval_expr(ast), _stepwise(ast)
+    for table in ("labels", "ranks", "upper", "lower", "bottom_face", "top_face", "above", "below"):
+        assert getattr(P, table) == getattr(Q, table), table
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(asts, st.integers(2, 10**6))
 def test_clamped_size_is_the_size_or_the_limit(ast, limit):

@@ -13,6 +13,7 @@ from polyprod.errors import (
     NotBounded,
     NotComparable,
     NotGraded,
+    ParseError,
     UnknownId,
 )
 
@@ -213,6 +214,30 @@ def test_json_round_trip(square):
     assert back.element_ids() == square.element_ids()
 
 
+class _Name(str):
+    pass
+
+
+class _Number(int):
+    pass
+
+
+def test_from_json_takes_ids_that_subclass_str_or_int(seg):
+    """Ids whose type is not exactly str, int or float fail the fast type
+    test; the per-item test then decides, and takes subclasses of str and
+    int as ids, in elements and in covers, while a cover ending in a bool
+    is still rejected."""
+    ids = {"0": _Name("0"), "a": _Number(7), "b": "b", "1": _Name("1")}
+    data = poset.to_json(seg)
+    elements = [{"id": ids[e["id"]], "rank": e["rank"]} for e in data["elements"]]
+    covers = [(ids[a], ids[b]) for a, b in data["covers"]]
+    P = poset.from_json({"elements": elements, "covers": covers})
+    assert P.labels == tuple(ids.values()) and P.upper == seg.upper
+    covers[0] = [True, ids["a"]]
+    with pytest.raises(ParseError, match="^covers must be pairs of element ids$"):
+        poset.from_json({"elements": elements, "covers": covers})
+
+
 def test_dot_export(seg):
     dot = poset.to_dot(seg)
     assert dot.startswith("digraph")
@@ -327,22 +352,88 @@ def test_aut_order_builds_reachability_tables_once(table_holders):
     assert table_holders("above") == table_holders("below") == [P]
 
 
-def test_reachability_tables_fold_the_constructors_order(monkeypatch):
-    """The constructor's topological order is kept for the tables: building
-    them for ``verify_polytope`` walks no second order."""
+_KAHN = poset._topological_order
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The calls of ``poset._topological_order``, Kahn's walk, from here on."""
     calls = []
-    topological_order = poset._topological_order
 
     def counting(*args):
         calls.append(args)
-        return topological_order(*args)
+        return _KAHN(*args)
 
     monkeypatch.setattr(poset, "_topological_order", counting)
+    return calls
+
+
+def test_reachability_tables_fold_the_constructors_order(walks, monkeypatch):
+    """The constructor's order is kept for the tables: building them for
+    ``verify_polytope`` folds that order, forwards and backwards, and walks
+    no other. Every cover of a polytope raises rank by one, so its order is
+    its faces by rank and no Kahn walk runs at all."""
+    folds = []
+    fold = poset._fold
+
+    def recording(order, covers):
+        order = list(order)
+        folds.append(order)
+        return fold(order, covers)
+
+    monkeypatch.setattr(poset, "_fold", recording)
     P = pp.eval_expr(pp.parse_expr("pt^*9"))
-    before = len(calls)
-    assert before  # one walk per constructed poset
+    assert P._order == sorted(range(len(P)), key=P.ranks.__getitem__)
     assert pp.verify_polytope(P).is_polytope
-    assert len(calls) == before
+    assert sorted(folds) == sorted([P._order, P._order[::-1]])
+    assert walks == []
+
+
+_EDGE_TOP_FIRST = [("1", 1), ("a", 0), ("b", 0), ("0", -1)]
+_CHAIN = [("0", -1), ("a", 0), ("b", 1), ("1", 2)]
+
+
+@pytest.mark.parametrize(
+    "elements, covers, kahn",
+    [
+        # listed top first, and the bottom's covers out of order
+        (_EDGE_TOP_FIRST, [("0", "b"), ("0", "a"), ("a", "1"), ("b", "1")], False),
+        (_CHAIN, [("0", "a"), ("a", "b"), ("b", "1")], False),
+        # the cover ("0", "b") skips rank 0
+        (_CHAIN, [("b", "1"), ("a", "b"), ("0", "a"), ("0", "b")], True),
+        (_CHAIN[::-1], [("0", "1"), ("a", "b"), ("b", "1")], True),
+    ],
+    ids=["edge-by-rank", "chain-by-rank", "skip-kahn", "reversed-skip-kahn"],
+)
+def test_constructor_orders_by_rank_unless_a_cover_skips_one(walks, elements, covers, kahn):
+    """When every cover raises rank by one, the faces in rank order are the
+    constructor's order and no Kahn walk runs; otherwise the order is one
+    Kahn walk's. Either way ``above``/``below`` are the naive reach and the
+    violations are the reference's."""
+    P = pp.from_components(elements, covers, check=False)
+    if kahn:
+        assert len(walks) == 1
+        assert P._order == _KAHN(P.upper, P.lower)
+    else:
+        assert walks == []
+        assert P._order == sorted(range(len(P)), key=P.ranks.__getitem__)
+    ups = list(P.covers)
+    downs = [(b, a) for a, b in ups]
+    for i, eid in enumerate(P.labels):
+        assert {P.labels[j] for j in poset._bits(P.above[i])} == _naive_reach(ups, eid)
+        assert {P.labels[j] for j in poset._bits(P.below[i])} == _naive_reach(downs, eid)
+    assert [(type(v), str(v)) for v in P.violations()] == _reference_violations(P)
+    assert len(walks) == kahn  # the tables walked no second order
+
+
+@pytest.mark.parametrize("covers", [[("0", "a"), ("a", "0")], [("0", "a"), ("a", "a")]])
+def test_cover_cycles_are_not_graded(walks, covers):
+    """A cycle never raises rank by one at every cover, so it reaches the
+    Kahn walk, which rejects it, with or without ``check``."""
+    for check in (False, True):
+        with pytest.raises(NotGraded, match="^cover relation contains a cycle$"):
+            pp.from_components([("0", -1), ("a", 0)], covers, check=check)
+    assert len(walks) == 2
 
 
 def _reference_violations(P):

@@ -196,3 +196,16 @@ def test_product_relabels_with_reprs_when_labels_collide(seg, op, left, right, l
     P = pp.product(op, _edge(*left), _edge(*right))
     assert set(labels) <= set(P.labels)
     assert pp.is_isomorphic(P, pp.product(op, seg, seg)) is not None
+
+
+@pytest.mark.parametrize("op", ["join", "cartesian"])
+@pytest.mark.parametrize("ids", [("a", "a|b"), (1, "1")])
+def test_power_relabels_each_product_as_stepwise_products(seg, op, ids):
+    """Where the factor's labels make "(p|q)" repeat, ``power`` labels each
+    product as the checked products one at a time would: with the reprs
+    where that product needs them."""
+    E = _edge(*ids)
+    P = pp.power(E, op, 3)
+    Q = pp.product(op, pp.product(op, E, E), E)
+    assert (P.labels, P.ranks, P.upper) == (Q.labels, Q.ranks, Q.upper)
+    assert pp.is_isomorphic(P, pp.power(seg, op, 3)) is not None
