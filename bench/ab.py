@@ -8,10 +8,10 @@ as the ``src`` of two checkouts. The workload's query list is made once by
 ``perfbench/workloads.py``, with its input files written by the base tree,
 and both trees answer the same list. Each pass sends the whole list to each
 tree in turn, in this one process: the tree's ``polyprod`` is imported
-afresh, every query goes to its ``cli.main`` and every answer is checked by
-``perfbench/check.py``. The tree that goes first alternates from pass to
-pass, and ``gc.collect()`` runs between passes, so both trees are timed
-over the same stretch of machine time.
+afresh, and every query is timed and its answer checked by ``Run.ask`` of
+``perfbench/run.py``, with ``perfbench/check.py``. The tree that goes first
+alternates from pass to pass, and ``gc.collect()`` runs between passes, so
+both trees are timed over the same stretch of machine time.
 
 For each tree, as ``perfbench/run.py`` reports them: ``wall_s``, the sum
 over the queries of each query's median latency over the passes, and
@@ -23,20 +23,18 @@ answer of either tree failed its check, else 0.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import importlib
-import io
 import json
 import os
 import sys
 import tempfile
-from time import perf_counter
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
 
 from check import check  # noqa: E402
+from run import Run, _median, _percentile  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 METRICS = ("wall_s", "query_p50_ms", "query_p90_ms")
@@ -56,45 +54,21 @@ def load_cli(src: str):
     return cli
 
 
-def run_pass(cli, queries, latencies, failures) -> None:
-    """Send every query once, appending each latency and each failed check."""
-    for i, q in enumerate(queries):
-        out, err = io.StringIO(), io.StringIO()
-        problem = None
-        start = perf_counter()
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = cli.main(q.argv)
-        except SystemExit as exc:
-            rc = exc.code
-        except Exception as exc:  # any other exception is a failed answer
-            rc, problem = None, f"raised {type(exc).__name__}: {exc}"
-        latencies[i].append(perf_counter() - start)
-        problem = problem or check(q, rc, out.getvalue())
-        if problem:
-            failures.append(f"{' '.join(q.argv)}: {problem}")
+def run_pass(cli, run) -> None:
+    """Send every query of ``run`` once, keeping each latency and each
+    failed check."""
+    for i, q in enumerate(run.queries):
+        run.latencies[i].append(run.ask(cli, q))
 
 
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
-
-
-def _percentile(values, q):
-    """Nearest rank, as in perfbench/run.py."""
-    ordered = sorted(values)
-    return ordered[max(0, -(-len(ordered) * q // 100) - 1)]
-
-
-def summary(latencies, failures) -> dict:
-    per_query_ms = [_median(ts) * 1000 for ts in latencies]
+def summary(run) -> dict:
+    per_query_ms = [_median(ts) * 1000 for ts in run.latencies]
     return {
         "wall_s": sum(per_query_ms) / 1000,
         "query_p50_ms": _percentile(per_query_ms, 50),
         "query_p90_ms": _percentile(per_query_ms, 90),
-        "failed": len(failures),
-        "failures": failures[:10],
+        "failed": len(run.failures),
+        "failures": run.failures[:10],
     }
 
 
@@ -111,21 +85,19 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         workload = WORKLOADS[args.workload](args.seed, workdir, load_cli(trees["base"]).main)
         queries = workload.make_queries(args.seed)
-        latencies = {side: [[] for _ in queries] for side in trees}
-        failures = {side: [] for side in trees}
+        runs = {side: Run(queries, check) for side in trees}
         for k in range(args.passes):
             for side in ("base", "new") if k % 2 == 0 else ("new", "base"):
-                run_pass(load_cli(trees[side]), queries, latencies[side], failures[side])
+                run_pass(load_cli(trees[side]), runs[side])
             gc.collect()
 
-    report = {side: {"src": trees[side], **summary(latencies[side], failures[side])}
-              for side in trees}
+    report = {side: {"src": trees[side], **summary(runs[side])} for side in trees}
     ratios = {m: report["new"][m] / report["base"][m] for m in METRICS}
     for side, r in report.items():
         print(f"{side:4s} wall_s {r['wall_s']:.4f}  query_p50_ms {r['query_p50_ms']:.3f}  "
               f"query_p90_ms {r['query_p90_ms']:.3f}  failed {r['failed']}  ({r['src']})")
     print("new/base " + "  ".join(f"{m} {v:.3f}" for m, v in ratios.items()))
-    correct = not (failures["base"] or failures["new"])
+    correct = not (runs["base"].failures or runs["new"].failures)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "passes": args.passes,
                       "queries": len(queries), "trees": report, "ratios": ratios,
                       "correct": correct}))

@@ -28,8 +28,7 @@ from .errors import BudgetExceeded, MixedOperatorsWithoutParens, ParseError
 from .family import JOIN_STEP, TIMES_STEP, FamilyNode, _runs
 from .groups import _EXACT_BELOW, format_count
 from .poset import DEFAULT_SEARCH_CAP, PolytopePoset, edge, point
-from .products import CARTESIAN, JOIN, SHARED_FACES, _face_count, power, product
-from .products import _TABLES, _power_tables
+from .products import CARTESIAN, JOIN, SHARED_FACES, _TABLES, _face_count, power, product
 
 
 @dataclass(frozen=True)
@@ -279,15 +278,17 @@ def eval_expr(e: ConstructionExpr, max_elements: int = DEFAULT_SEARCH_CAP) -> Po
             if node.name not in atoms:
                 atoms[node.name] = point() if node.name == "pt" else edge()
             return atoms[node.name]
-        if isinstance(node, Power) and node.k == 1:
-            return build(node.base, root)
         if isinstance(node, Product):
             left, right = build(node.left, False), build(node.right, False)
-            return product(node.op, left, right) if root else _TABLES[node.op](left, right)
-        if isinstance(node, Power):
-            base = build(node.base, False)
-            return (power if root else _power_tables)(base, node.op, node.k)
-        raise TypeError(f"not an expression node: {node!r}")
+        elif isinstance(node, Power):
+            if node.k < 2:  # the base itself, or power's NonPositiveExponent
+                return power(build(node.base, root), node.op, node.k)
+            left = right = build(node.base, False)
+            for _ in range(node.k - 2):
+                left = _TABLES[node.op](left, right)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        return product(node.op, left, right) if root else _TABLES[node.op](left, right)
 
     return build(e, True)
 

@@ -27,10 +27,9 @@ literals delimit themselves.
 A product is built as plain tables first (``_Tables``: labels, ranks and
 upper covers, by ``_join`` or ``_cartesian``), which a factor may be in
 place of a poset. ``join``, ``cartesian`` and ``product`` hand the tables to
-one checked ``PolytopePoset``. ``power`` and ``expr.eval_expr`` keep every
-product below the last as tables, labelled "(p|q)", so a power or an
-expression costs one poset; ``power`` builds its products one checked
-poset at a time only where those labels repeat.
+one checked ``PolytopePoset``. ``expr.eval_expr`` keeps every product
+below the root of an expression as tables, labelled "(p|q)", so an
+expression costs one poset; ``power`` builds one checked poset per product.
 """
 
 from __future__ import annotations
@@ -160,7 +159,7 @@ def cartesian(P: PolytopePoset, Q: PolytopePoset) -> PolytopePoset:
     return _poset(_cartesian, P, Q)
 
 
-# the table builder of each product, for ``_power_tables`` and ``expr.eval_expr``
+# the table builder of each product, for ``expr.eval_expr``
 _TABLES = {JOIN: _join, CARTESIAN: _cartesian}
 
 
@@ -176,29 +175,13 @@ def product(op: str, P: PolytopePoset, Q: PolytopePoset) -> PolytopePoset:
 
 
 def power(P: PolytopePoset, op: str, k: int) -> PolytopePoset:
-    """Left-associated k-fold product of P with itself under `op`. The
-    products below the last are built as tables, labelled "(p|q)"."""
+    """Left-associated k-fold product of P with itself under `op`."""
     if k < 1:
         raise NonPositiveExponent(f"exponent must be >= 1, got {k}")
     if op not in SHARED_FACES:
         raise ValueError(f"unknown product {op!r}")
-    if k == 1:
-        return P
-    try:
-        return product(op, _power_tables(P, op, k - 1), P)
-    except DuplicateId:
-        # a lower product repeated a label, which its tables kept: build
-        # every product as a poset, each relabelling by reprs as it needs
-        result = P
-        for _ in range(k - 1):
-            result = product(op, result, P)
-        return result
-
-
-def _power_tables(P, op: str, k: int):
-    """P op P op ... op P, k factors, left-associated, as tables; P itself
-    when k is 1."""
     result = P
     for _ in range(k - 1):
-        result = _TABLES[op](result, P)
+        result = product(op, result, P)
     return result
+

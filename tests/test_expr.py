@@ -198,16 +198,13 @@ def test_expr_size_matches_built_poset(ast):
 
 
 def _stepwise(e):
-    """The poset of an expression folded from the public ``product``, one
-    checked poset per product, a power's k - 1 products included."""
+    """The poset of an expression folded from the public ``product`` and
+    ``power``, one checked poset per product."""
     if isinstance(e, Atom):
         return pp.point() if e.name == "pt" else pp.edge()
     if isinstance(e, Product):
         return pp.product(e.op, _stepwise(e.left), _stepwise(e.right))
-    base = P = _stepwise(e.base)
-    for _ in range(e.k - 1):
-        P = pp.product(e.op, P, base)
-    return P
+    return pp.power(_stepwise(e.base), e.op, e.k)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -147,11 +147,13 @@ def test_node_json():
 
 def test_polytope_builds_each_atom_once(monkeypatch):
     """``eval_expr`` builds each atom once per call and the products below
-    the root as tables, so a family polytope costs one edge, one point and
-    one poset for the expression."""
+    the root as tables, a power's included, so a family polytope costs one
+    edge, one point and one poset for the expression."""
     built = _count_builds(monkeypatch)
-    P = pp.eval_expr(pp.parse_expr("(((I*pt)xI)xI)*pt"))
-    assert built == [4, 2, 128] and len(P) == 128
+    for text, sizes in (("(((I*pt)xI)xI)*pt", [4, 2, 128]), ("(I*pt)^x3", [4, 2, 344])):
+        built.clear()
+        P = pp.eval_expr(pp.parse_expr(text))
+        assert built == sizes and len(P) == sizes[-1]
 
 
 @pytest.mark.parametrize("steps, exact", [(1422, True), (1423, False)])

@@ -175,10 +175,10 @@ def test_product_and_power_reject_unknown_op(seg):
             pp.power(seg, "meet", k)
 
 
-def _edge(a, b):
-    """I with vertex ids a and b."""
+def _edge(a, b, lo="lo"):
+    """I with vertex ids a and b and bottom id lo."""
     return pp.from_components(
-        [("lo", -1), (a, 0), (b, 0), ("hi", 1)], [("lo", a), ("lo", b), (a, "hi"), (b, "hi")]
+        [(lo, -1), (a, 0), (b, 0), ("hi", 1)], [(lo, a), (lo, b), (a, "hi"), (b, "hi")]
     )
 
 
@@ -199,13 +199,22 @@ def test_product_relabels_with_reprs_when_labels_collide(seg, op, left, right, l
 
 
 @pytest.mark.parametrize("op", ["join", "cartesian"])
-@pytest.mark.parametrize("ids", [("a", "a|b"), (1, "1")])
+@pytest.mark.parametrize(
+    "ids",
+    [
+        (1, "1"),
+        # the bottom and face ("a", "b|a|b") of E op E are both "(a|b|a|b)",
+        # and E x E x E has no face over that bottom
+        ("a", "b|a|b", "a|b"),
+    ],
+)
 def test_power_relabels_each_product_as_stepwise_products(seg, op, ids):
     """Where the factor's labels make "(p|q)" repeat, ``power`` labels each
-    product as the checked products one at a time would: with the reprs
+    product as the checked products one at a time do: with the reprs
     where that product needs them."""
     E = _edge(*ids)
     P = pp.power(E, op, 3)
     Q = pp.product(op, pp.product(op, E, E), E)
     assert (P.labels, P.ranks, P.upper) == (Q.labels, Q.ranks, Q.upper)
+    assert any("'" in label for label in P.labels)
     assert pp.is_isomorphic(P, pp.power(seg, op, 3)) is not None
