@@ -16,8 +16,20 @@ both trees are timed over the same stretch of machine time.
 For each tree, as ``perfbench/run.py`` reports them: ``wall_s``, the sum
 over the queries of each query's median latency over the passes, and
 ``query_p50_ms``/``query_p90_ms``, percentiles of those medians. The ratios
-are NEW over BASE. The last line is JSON; the exit code is 1 when some
-answer of either tree failed its check, else 0.
+are NEW over BASE.
+
+The same three metrics are also taken over each single pass, and the two
+trees' values are paired pass by pass, since both trees answer a pass over
+the same stretch of machine time. For each metric, ``acceptance`` holds
+the share of passes in which NEW was lower than BASE (ties count for
+neither), each tree's median over the passes, and BASE's interquartile
+range over the passes (nearest-rank quartiles). ``gain`` applies the
+acceptance rule for a claimed gain: NEW won at least nine tenths of the
+passes and its median is lower than BASE's by more than BASE's
+interquartile range.
+
+The last line is JSON; the exit code is 1 when some answer of either tree
+failed its check, else 0.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ from run import Run, _median, _percentile  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 METRICS = ("wall_s", "query_p50_ms", "query_p90_ms")
+WIN_SHARE = 0.9
 
 
 def load_cli(src: str):
@@ -61,14 +74,40 @@ def run_pass(cli, run) -> None:
         run.latencies[i].append(run.ask(cli, q))
 
 
-def summary(run) -> dict:
-    per_query_ms = [_median(ts) * 1000 for ts in run.latencies]
+def metrics(per_query_ms) -> dict:
+    """The three metrics of one latency per query, in milliseconds."""
     return {
         "wall_s": sum(per_query_ms) / 1000,
         "query_p50_ms": _percentile(per_query_ms, 50),
         "query_p90_ms": _percentile(per_query_ms, 90),
+    }
+
+
+def summary(run) -> dict:
+    return {
+        **metrics([_median(ts) * 1000 for ts in run.latencies]),
         "failed": len(run.failures),
         "failures": run.failures[:10],
+    }
+
+
+def per_pass(run) -> dict:
+    """Each metric's value over each pass alone, in pass order."""
+    passes = [metrics([t * 1000 for t in ts]) for ts in zip(*run.latencies)]
+    return {m: [p[m] for p in passes] for m in METRICS}
+
+
+def acceptance(base: list, new: list) -> dict:
+    """The pass-by-pass comparison of one metric, lower being better."""
+    won = sum(n < b for b, n in zip(base, new)) / len(base)
+    iqr = _percentile(base, 75) - _percentile(base, 25)
+    base_median, new_median = _median(base), _median(new)
+    return {
+        "new_won": won,
+        "base_median": base_median,
+        "new_median": new_median,
+        "base_iqr": iqr,
+        "gain": won >= WIN_SHARE and base_median - new_median > iqr,
     }
 
 
@@ -93,14 +132,19 @@ def main(argv=None) -> int:
 
     report = {side: {"src": trees[side], **summary(runs[side])} for side in trees}
     ratios = {m: report["new"][m] / report["base"][m] for m in METRICS}
+    base, new = per_pass(runs["base"]), per_pass(runs["new"])
+    accepted = {m: acceptance(base[m], new[m]) for m in METRICS}
     for side, r in report.items():
         print(f"{side:4s} wall_s {r['wall_s']:.4f}  query_p50_ms {r['query_p50_ms']:.3f}  "
               f"query_p90_ms {r['query_p90_ms']:.3f}  failed {r['failed']}  ({r['src']})")
     print("new/base " + "  ".join(f"{m} {v:.3f}" for m, v in ratios.items()))
+    for m, a in accepted.items():
+        print(f"per pass {m}: new won {a['new_won']:.2f}, medians {a['base_median']:.4f} -> "
+              f"{a['new_median']:.4f}, base IQR {a['base_iqr']:.4f}, gain {a['gain']}")
     correct = not (runs["base"].failures or runs["new"].failures)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "passes": args.passes,
                       "queries": len(queries), "trees": report, "ratios": ratios,
-                      "correct": correct}))
+                      "acceptance": accepted, "correct": correct}))
     return 0 if correct else 1
 
 

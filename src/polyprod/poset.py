@@ -60,9 +60,9 @@ class PolytopePoset:
     faces: by rank when ``_rank_steps``, which is whether every cover raises
     rank by one. The derived tables are cached properties, each built on
     its own first read: ``above`` by ``less_eq``, ``up_mask``, ``section``,
-    the pyramid oracle, the verifier and the searches; ``below`` by
-    ``section``, the prism oracle, the verifier and the searches;
-    ``_masks`` and ``_search`` by the searches alone.
+    the pyramid oracle, the verifier's exact checks and the searches;
+    ``below`` by ``section``, the prism oracle, the verifier and the
+    searches; ``_masks`` and ``_search`` by the searches alone.
     """
 
     def __init__(self, labels, ranks, upper, check=True):
@@ -295,7 +295,9 @@ def _fold(order, covers) -> tuple[int, ...]:
 def from_components(elements, covers, check=True) -> PolytopePoset:
     """Build a poset from (id, rank) pairs and (lower id, upper id) cover
     pairs, grouped by lower id; repeated covers count once. ``check`` (the
-    default) enforces the structural invariants (unique bounds, gradedness)."""
+    default) enforces the structural invariants (unique bounds, gradedness).
+    Each group is sorted by face, so covers listed in any order, such as by
+    id text as the writers list them, reach the constructor ascending."""
     elements = list(elements)
     index = {eid: i for i, (eid, _) in enumerate(elements)}
     upper = [[] for _ in elements]
@@ -304,7 +306,8 @@ def from_components(elements, covers, check=True) -> PolytopePoset:
             raise DanglingCover(f"cover ({a!r}, {b!r}) references unknown id")
         upper[index[a]].append(index[b])
     return PolytopePoset(
-        [eid for eid, _ in elements], [rk for _, rk in elements], upper, check=check
+        [eid for eid, _ in elements], [rk for _, rk in elements], map(sorted, upper),
+        check=check,
     )
 
 

@@ -1,16 +1,24 @@
 """Axiom checker: boundedness, gradedness, diamond condition and strong
 section connectivity, reported per category.
 
-Connectivity is decided in two stages. A ridge certificate (``_uncertified``)
-works per top face G, bit-parallel over every F below it: the lower covers
-of G that lie above F are joined through ridges above F, lower covers that
-two of them share. A ridge R with F < R <= H, K is a face of the section
-(F, G) below both H and K, so a certified section is connected. Every
-section the certificate leaves open goes to the exact lower-cover test
-``_connected``. In a polytope the facets of each section are connected
-through its ridges, so the exact test never runs there; on other posets it
-decides each open section exactly, and the report is the one the exact test
-alone would give.
+The diamond condition and connectivity are both first settled by one walk
+(``_certify``) over each face G's lower covers H and their lower covers R.
+The walk tallies the paths R < H < G: when every cover raises rank by one,
+these are the middle faces of the intervals (R, G) of rank difference 2,
+so when every R is reached exactly twice every such interval is a diamond.
+The same walk folds the ridges R, shared by two lower covers of G, into a
+certificate worked per top face G, bit-parallel over every F below it: the
+lower covers of G that lie above F are joined through ridges above F. A
+ridge R with F < R <= H, K is a face of the section (F, G) below both H and
+K, so a certified section is connected.
+
+What the walk leaves unsettled goes to the exact tests, which write the
+report's lists. When the tally fails, or a cover skips a rank, every
+interval of rank difference 2 is counted in order. Every section the
+certificate leaves open goes to the exact lower-cover test ``_connected``.
+In a polytope the tally holds and the facets of each section are connected
+through its ridges, so no exact test runs there; on other posets they
+decide exactly, and the report is the one the exact tests alone would give.
 """
 
 from __future__ import annotations
@@ -66,33 +74,43 @@ def verify_polytope(P: PolytopePoset) -> ValidityReport:
     Boundedness and gradedness are read from ``P.violations()``, the checks
     the constructor enforces. The diamond check covers every interval of
     rank difference 2; the connectivity check covers every section of rank
-    difference at least 3 (smaller sections are exempt by definition). The
-    ridge certificate of ``_uncertified`` passes the sections whose facets
+    difference at least 3 (smaller sections are exempt by definition).
+    Both are first settled by the one walk of ``_certify``: its tally of
+    the paths R < H < G shows every interval of rank difference 2 a
+    diamond, and its ridge certificate passes the sections whose facets
     are joined through ridges, which is sound since a shared ridge lies
-    inside the section; the lower-cover test of ``_connected`` decides the
-    rest exactly. Both checks visit their pairs F <= G by rank of F, rank of
-    G, F, G, and each keeps its first ``MAX_VIOLATIONS`` (20) failures. The
-    certified sections are connected, so skipping them changes neither
-    list.
+    inside the section. Only what the walk leaves unsettled reads
+    ``P.above`` and is decided exactly: every interval of rank difference
+    2 is counted when the tally fails, and the lower-cover test of
+    ``_connected`` decides each section left open. Both exact checks visit
+    their pairs F <= G by rank of F, rank of G, F, G, and each keeps its
+    first ``MAX_VIOLATIONS`` (20) failures. A settled check has no failure,
+    so skipping it changes neither list.
     """
     found = {type(v) for v in P.violations()}
-    labels, up, down, lower = P.labels, P.above, P.below, P.lower
-    diamonds = (
-        (labels[f], labels[g], middle)
-        for f, g in _intervals(P, (2,), up)
-        if (middle := (up[f] & down[g]).bit_count() - 2) != 2
-    )
-    disconnected = (
-        (labels[f], labels[g])
-        for f, g in _intervals(P, range(3, P.rank - min(P.ranks) + 1), _uncertified(P))
-        if (proper := up[f] & down[g] & ~(1 << f | 1 << g))
-        and not _connected(down, [h for h in lower[g] if proper >> h & 1], proper)
-    )
+    diamonds_hold, tops = _certify(P)
+    labels, down, lower = P.labels, P.below, P.lower
+    diamonds, disconnected = [], []
+    if not diamonds_hold:
+        up = P.above
+        diamonds = list(islice((
+            (labels[f], labels[g], middle)
+            for f, g in _intervals(P, (2,), up)
+            if (middle := (up[f] & down[g]).bit_count() - 2) != 2
+        ), MAX_VIOLATIONS))
+    if any(tops):
+        up = P.above
+        disconnected = list(islice((
+            (labels[f], labels[g])
+            for f, g in _intervals(P, range(3, P.rank - min(P.ranks) + 1), tops)
+            if (proper := up[f] & down[g] & ~(1 << f | 1 << g))
+            and not _connected(down, [h for h in lower[g] if proper >> h & 1], proper)
+        ), MAX_VIOLATIONS))
     return ValidityReport(
         bounded=NotBounded not in found,
         graded=NotGraded not in found,
-        diamond_violations=list(islice(diamonds, MAX_VIOLATIONS)),
-        connectivity_violations=list(islice(disconnected, MAX_VIOLATIONS)),
+        diamond_violations=diamonds,
+        connectivity_violations=disconnected,
     )
 
 
@@ -117,20 +135,34 @@ def _intervals(
                         yield f, g
 
 
-def _uncertified(P: PolytopePoset) -> list[int]:
-    """For each face F, the mask of the faces G, rank G - rank F >= 3, whose
-    section (F, G) no ridge certificate shows connected.
+def _certify(P: PolytopePoset) -> tuple[bool, list[int]]:
+    """One walk over each face G's lower covers H and their lower covers R.
+    It returns whether the tally shows every interval of rank difference 2
+    a diamond, and for each face F the mask of the faces G, rank G - rank F
+    >= 3, whose section (F, G) no ridge certificate shows connected.
 
-    Fix G with two or more lower covers, and for each lower cover H let
-    S_H be the F of rank at most rank G - 3 strictly below H: the F for
-    which H lies inside the section (F, G). The mask ``reach[H]`` starts as
-    the F whose first H is H. A ridge R, a lower cover of two or more of
-    G's lower covers, joins the first H over it to each later one: it folds
-    the F strictly below R that either of the two holds into both. The
-    folds repeat, pass after pass, until a pass adds nothing or every
-    ``reach[H]`` is S_H. So ``reach[H]`` holds F once H is joined to F's
-    first H by a chain of ridges above F; this runs for every F below G at
-    once, one bitmask per H.
+    The tally. Each R is counted once per path R < H < G, in one dict per
+    G: the first sighting stores the index of its H among G's lower
+    covers, the second overwrites it with a negative mark (its complement),
+    a third fails the tally. When every cover raises rank by one
+    (``P._rank_steps``), the faces two ranks below G under it are the R
+    reached, and the faces strictly between R and G are the H that reach
+    it. So if no R is left with one sighting or reached a third time,
+    every interval of rank difference 2 is a diamond. Otherwise, or when a
+    cover skips a rank, the tally does not hold and the caller counts
+    every interval exactly.
+
+    The certificate. Fix G with two or more lower covers, and for each
+    lower cover H let S_H be the F of rank at most rank G - 3 strictly
+    below H: the F for which H lies inside the section (F, G). The mask
+    ``reach[H]`` starts as the F whose first H is H. A ridge R, a lower
+    cover of two or more of G's lower covers, joins the first H over it to
+    each later one: the walk folds the F strictly below R that either of
+    the two holds into both, as soon as it sights R again. When that first
+    pass leaves some ``reach[H]`` short of S_H, ``_open_sections`` repeats
+    the folds until a pass adds nothing. So ``reach[H]`` holds F once H is
+    joined to F's first H by a chain of ridges above F; this runs for every
+    F below G at once, one bitmask per H.
 
     Such a ridge R <= H, K lies inside (F, G), in both D_H and D_K of
     ``_connected``, which is the relation that test folds on. So a pair
@@ -139,7 +171,6 @@ def _uncertified(P: PolytopePoset) -> list[int]:
     every section are connected through its ridges, so none is returned.
     """
     ranks, lower = P.ranks, P.lower
-    n = len(ranks)
     strict = [m ^ 1 << i for i, m in enumerate(P.below)]
     rank_mask: dict[int, int] = {}
     for i, rk in enumerate(ranks):
@@ -149,41 +180,68 @@ def _uncertified(P: PolytopePoset) -> list[int]:
     for rk in levels:
         acc |= rank_mask[rk]
         upto.append(acc)
-    tops = [0] * n
-    for g in range(n):
-        covers = lower[g]
-        if len(covers) < 2 or ranks[g] - levels[0] < 3:
+    hold = P._rank_steps
+    tops = [0] * len(ranks)
+    for g, covers in enumerate(lower):
+        if len(covers) > 1 and ranks[g] - 3 >= levels[0]:
+            cut = upto[bisect_right(levels, ranks[g] - 3) - 1]
+        elif hold:  # no section to certify, but the tally still counts
+            cut = 0
+        else:
             continue
-        cut = upto[bisect_right(levels, ranks[g] - 3) - 1]
         wanted = [strict[h] & cut for h in covers]  # S_H for each lower cover H
-        reach, seen, first, ridges = [], 0, {}, []
+        reach, seen, first = [], 0, {}
         for i, h in enumerate(covers):
             reach.append(wanted[i] & ~seen)
             seen |= wanted[i]
             for r in lower[h]:
-                # a ridge joins the first lower cover over it to each later one
                 j = first.setdefault(r, i)
-                if j != i:
-                    ridges.append((strict[r], j, i))
-        grown = True
-        while grown and reach != wanted:
-            grown = False
-            for below_r, i, j in ridges:
-                a, b = reach[i], reach[j]
-                m = (a | b) & below_r
-                if m & ~a:
-                    reach[i] = a | m
-                    grown = True
-                if m & ~b:
-                    reach[j] = b | m
-                    grown = True
-        left = 0
-        for want, held in zip(wanted, reach):
-            left |= want & ~held
-        if left:
-            for f in _bits(left):
+                if j == i:
+                    continue
+                if j < 0:  # a third sighting
+                    hold = False
+                    j = ~j
+                else:
+                    first[r] = ~j
+                # the ridge r joins the first lower cover over it to this one
+                a, b = reach[j], reach[i]
+                m = (a | b) & strict[r]
+                reach[j], reach[i] = a | m, b | m
+        if hold and first and max(first.values()) >= 0:  # an R sighted once
+            hold = False
+        if reach != wanted:
+            for f in _bits(_open_sections(covers, lower, strict, wanted, reach)):
                 tops[f] |= 1 << g
-    return tops
+    return hold, tops
+
+
+def _open_sections(covers, lower, strict, wanted, reach) -> int:
+    """The F left open at G, whose lower covers are ``covers``, once the
+    ridge folds of ``_certify`` are repeated from ``reach``, pass after
+    pass, until a pass adds nothing or every ``reach[H]`` is ``wanted[H]``.
+    """
+    ridges, first = [], {}
+    for i, h in enumerate(covers):
+        for r in lower[h]:
+            j = first.setdefault(r, i)
+            if j != i:
+                ridges.append((strict[r], j, i))
+    grown = True
+    while grown and reach != wanted:
+        grown = False
+        for below_r, i, j in ridges:
+            a, b = reach[i], reach[j]
+            m = (a | b) & below_r
+            if m & ~a:
+                reach[i] = a | m
+                grown = True
+            if m & ~b:
+                reach[j] = b | m
+                grown = True
+    left = 0
+    for want, held in zip(wanted, reach):
+        left |= want & ~held
+    return left
 
 
 def _connected(down: tuple[int, ...], coatoms: list[int], proper: int) -> bool:

@@ -44,6 +44,21 @@ def test_ab_reports_each_tree_and_the_ratios(tmp_path):
         assert report["ratios"][m] == report["trees"]["new"][m] / report["trees"]["base"][m]
 
 
+def test_ab_applies_the_acceptance_rule_pass_by_pass(tmp_path):
+    """For each metric the report gives the share of passes NEW won, each
+    tree's median over the passes and BASE's interquartile range, and
+    ``gain`` is the rule read off those figures."""
+    rc, report = _ab(*_trees(tmp_path))
+    assert rc == 0
+    assert set(report["acceptance"]) == {"wall_s", "query_p50_ms", "query_p90_ms"}
+    for a in report["acceptance"].values():
+        assert set(a) == {"new_won", "base_median", "new_median", "base_iqr", "gain"}
+        assert a["new_won"] in (0, 0.5, 1)  # two passes; a tie counts for neither
+        assert a["base_median"] > 0 and a["new_median"] > 0 and a["base_iqr"] >= 0
+        rule = a["new_won"] >= 0.9 and a["base_median"] - a["new_median"] > a["base_iqr"]
+        assert a["gain"] is rule
+
+
 def test_ab_reports_a_tree_with_wrong_answers_as_failing(tmp_path):
     base, new = _trees(tmp_path)
     with open(new / "polyprod" / "cli.py", "a") as fh:

@@ -346,16 +346,15 @@ def test_exit_code_budget(capsys):
 def test_only_verify_runs_the_verifier(monkeypatch, capsys, argv, runs):
     """build, aut and decompose do not verify the products they build;
     verify EXPR runs the checker once. Each run of the checker makes one
-    walk over the intervals of rank difference 2."""
+    walk over the covers of covers of every face."""
     walks = []
-    intervals = verify._intervals
+    certify = verify._certify
 
-    def counting(P, gaps, *rest):
-        if 2 in gaps:
-            walks.append(P)
-        return intervals(P, gaps, *rest)
+    def counting(P):
+        walks.append(P)
+        return certify(P)
 
-    monkeypatch.setattr(verify, "_intervals", counting)
+    monkeypatch.setattr(verify, "_certify", counting)
     assert main(argv) == 0
     capsys.readouterr()
     assert len(walks) == runs

@@ -214,6 +214,28 @@ def test_json_round_trip(square):
     assert back.element_ids() == square.element_ids()
 
 
+def test_built_poset_read_back_takes_the_constructors_fast_path(capsys, monkeypatch):
+    """build lists covers by id text, not by face. from_json sorts each
+    face's covers by face, so the constructor passes over them once and
+    finds every cover raising rank by one; covers repeated in the file
+    still count once."""
+    assert main(["build", "((I*pt)x(I^x3))*(pt^*2)"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    passes = []
+    lower = poset._lower
+
+    def counting(*args):
+        passes.append(args)
+        return lower(*args)
+
+    monkeypatch.setattr(poset, "_lower", counting)
+    P = poset.from_json(data)
+    assert P._rank_steps and len(passes) == 1
+    assert pp.verify_polytope(P).is_polytope
+    data["covers"] += data["covers"][::7]
+    assert poset.from_json(data).upper == P.upper
+
+
 class _Name(str):
     pass
 
@@ -333,11 +355,11 @@ def test_cover_lists_must_name_faces(upper, error, match):
 )
 def test_reachability_tables_built_only_where_read(table_holders, capsys, argv, builds):
     """Products, builds and the generators method read no reachability
-    table; the verifier builds both tables of the poset it checks."""
+    table; the verifier builds ``below`` of the poset it checks, and on a
+    polytope not ``above``, which only its exact checks read."""
     assert main(argv) == 0
-    above = table_holders("above")
-    assert len(above) == builds
-    assert table_holders("below") == above
+    assert len(table_holders("below")) == builds
+    assert table_holders("above") == []
 
 
 def test_aut_order_builds_reachability_tables_once(table_holders):
@@ -369,10 +391,11 @@ def walks(monkeypatch):
 
 
 def test_reachability_tables_fold_the_constructors_order(walks, monkeypatch):
-    """The constructor's order is kept for the tables: building them for
-    ``verify_polytope`` folds that order, forwards and backwards, and walks
-    no other. Every cover of a polytope raises rank by one, so its order is
-    its faces by rank and no Kahn walk runs at all."""
+    """The constructor's order is kept for the tables: building them folds
+    that order, forwards for ``below``, which ``verify_polytope`` reads,
+    and backwards for ``above``, and walks no other. Every cover of a
+    polytope raises rank by one, so its order is its faces by rank and no
+    Kahn walk runs at all."""
     folds = []
     fold = poset._fold
 
@@ -385,7 +408,9 @@ def test_reachability_tables_fold_the_constructors_order(walks, monkeypatch):
     P = pp.eval_expr(pp.parse_expr("pt^*9"))
     assert P._order == sorted(range(len(P)), key=P.ranks.__getitem__)
     assert pp.verify_polytope(P).is_polytope
-    assert sorted(folds) == sorted([P._order, P._order[::-1]])
+    assert folds == [P._order]
+    assert P.above
+    assert folds == [P._order, P._order[::-1]]
     assert walks == []
 
 

@@ -132,6 +132,57 @@ def test_report_json_failures():
     ]
 
 
+def _bottom_vertices_top(vertices):
+    """One face of rank -1 under ``vertices``, all of them under one top of
+    rank 1: an interval of rank difference 2 with that many middle faces."""
+    elements = [("0", -1)] + [(v, 0) for v in vertices] + [("1", 1)]
+    return elements, [("0", v) for v in vertices] + [(v, "1") for v in vertices]
+
+
+def _square_with_second_bottom():
+    """A square whose first two vertices also cover a second face of rank
+    -1, so the intervals from it to the edges through only one of them have
+    one middle face."""
+    vertices = [f"v{i}" for i in range(4)]
+    edges = {f"e{i}": (vertices[i], vertices[(i + 1) % 4]) for i in range(4)}
+    elements = [("0", -1), ("0'", -1)] + [(v, 0) for v in vertices]
+    elements += [(e, 1) for e in edges] + [("1", 2)]
+    covers = [("0", v) for v in vertices] + [("0'", "v0"), ("0'", "v1")]
+    covers += [(v, e) for e, ends in edges.items() for v in ends] + [(e, "1") for e in edges]
+    return elements, covers
+
+
+@pytest.mark.parametrize(
+    "elements, covers",
+    [
+        _bottom_vertices_top("v"),
+        _bottom_vertices_top("abc"),
+        _bottom_vertices_top("abcd"),
+        # y covers the bottom directly, two ranks up: (0, y) has no middle
+        # face and no path bottom < H < y reaches it
+        (
+            [("0", -1), ("a", 0), ("b", 0), ("e", 1), ("y", 1)],
+            [("0", "a"), ("0", "b"), ("a", "e"), ("b", "e"), ("0", "y")],
+        ),
+        _square_with_second_bottom(),
+    ],
+    ids=["one-middle", "three-middles", "four-middles", "rank-skip", "two-minimal"],
+)
+def test_tally_fails_on_each_broken_diamond(elements, covers):
+    """Each poset has one defect that breaks the diamond condition, so the
+    one walk's tally must not hold and the exact walk must report what the
+    naive oracle finds. An interval with four middle faces reaches its
+    bottom an even number of times; a cover that skips a rank makes an
+    interval no path of two covers reaches."""
+    P = from_components(elements, covers, check=False)
+    diamonds_hold, _ = verify._certify(P)
+    report = pp.verify_polytope(P)
+    diamond, disconnected = naive_violations(P)
+    assert not diamonds_hold and diamond
+    assert report.diamond_violations == diamond
+    assert report.connectivity_violations == disconnected
+
+
 def test_violation_lists_are_capped():
     # 25 disjoint vertex-edge spikes give 25+ broken rank-2 intervals; the
     # report keeps at most 20 per category
@@ -260,15 +311,17 @@ _FAMILY_THROUGH_STEP_4 = [n.path for steps in range(5) for n in family.enumerate
     ids=lambda shape: shape if isinstance(shape, str) else ",".join(shape) or "I",
 )
 def test_ridges_certify_every_section_of_a_polytope(shape, exact_tests):
-    """In a polytope the facets of every section are connected through its
-    ridges, so the ridge certificate leaves no section open and the exact
-    test never runs: on every family node through step 4, on pt^*9 and on
-    the worked example."""
+    """In a polytope every interval of rank difference 2 is a diamond and
+    the facets of every section are connected through its ridges, so the
+    one walk's tally holds, its ridge certificate leaves no section open
+    and the exact test never runs: on every family node through step 4, on
+    pt^*9 and on the worked example."""
     if isinstance(shape, str):
         P = eval_expr(parse_expr(shape))
     else:
         P = family_polytope(family.node_for_path(shape))
-    assert not any(verify._uncertified(P))
+    diamonds_hold, tops = verify._certify(P)
+    assert diamonds_hold and not any(tops)
     assert pp.verify_polytope(P).is_polytope
     assert exact_tests == []
 
