@@ -26,7 +26,11 @@ neither), each tree's median over the passes, and BASE's interquartile
 range over the passes (nearest-rank quartiles). ``gain`` applies the
 acceptance rule for a claimed gain: NEW won at least nine tenths of the
 passes and its median is lower than BASE's by more than BASE's
-interquartile range.
+interquartile range. ``interval`` is a seeded bootstrap 95% interval of
+the ratio of NEW's median over the passes to BASE's: 2000 resamples of
+the passes, drawn with replacement from ``random.Random(0)``, each taking
+both trees' values of the passes drawn, and the 2.5th and 97.5th
+percentiles (nearest rank) of the ratios of their medians.
 
 The last line is JSON; the exit code is 1 when some answer of either tree
 failed its check, else 0.
@@ -39,6 +43,7 @@ import gc
 import importlib
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -51,6 +56,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 METRICS = ("wall_s", "query_p50_ms", "query_p90_ms")
 WIN_SHARE = 0.9
+RESAMPLES = 2000
 
 
 def load_cli(src: str):
@@ -97,6 +103,20 @@ def per_pass(run) -> dict:
     return {m: [p[m] for p in passes] for m in METRICS}
 
 
+def bootstrap_interval(base: list, new: list, resamples: int = RESAMPLES) -> list:
+    """The 2.5th and 97.5th percentiles, nearest rank, of the ratio of
+    NEW's median to BASE's over ``resamples`` paired resamples of the
+    passes, drawn from ``random.Random(0)``."""
+    rng = random.Random(0)
+    k = len(base)
+    ratios = []
+    for _ in range(resamples):
+        drawn = [rng.randrange(k) for _ in range(k)]
+        ratios.append(_median([new[i] for i in drawn]) / _median([base[i] for i in drawn]))
+    ratios.sort()
+    return [ratios[-(-resamples * 25 // 1000) - 1], ratios[-(-resamples * 975 // 1000) - 1]]
+
+
 def acceptance(base: list, new: list) -> dict:
     """The pass-by-pass comparison of one metric, lower being better."""
     won = sum(n < b for b, n in zip(base, new)) / len(base)
@@ -108,6 +128,7 @@ def acceptance(base: list, new: list) -> dict:
         "new_median": new_median,
         "base_iqr": iqr,
         "gain": won >= WIN_SHARE and base_median - new_median > iqr,
+        "interval": bootstrap_interval(base, new),
     }
 
 
@@ -140,7 +161,8 @@ def main(argv=None) -> int:
     print("new/base " + "  ".join(f"{m} {v:.3f}" for m, v in ratios.items()))
     for m, a in accepted.items():
         print(f"per pass {m}: new won {a['new_won']:.2f}, medians {a['base_median']:.4f} -> "
-              f"{a['new_median']:.4f}, base IQR {a['base_iqr']:.4f}, gain {a['gain']}")
+              f"{a['new_median']:.4f}, base IQR {a['base_iqr']:.4f}, gain {a['gain']}, "
+              f"ratio 95% interval [{a['interval'][0]:.3f}, {a['interval'][1]:.3f}]")
     correct = not (runs["base"].failures or runs["new"].failures)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "passes": args.passes,
                       "queries": len(queries), "trees": report, "ratios": ratios,

@@ -8,7 +8,6 @@ from .groups import DirectProduct, Hyp, Sym
 from .poset import (
     PolytopePoset,
     edge,
-    flags,
     from_components,
     is_isomorphic,
     point,
@@ -35,7 +34,6 @@ __all__ = [
     "enumerate_family",
     "eval_expr",
     "expr_to_family",
-    "flags",
     "from_components",
     "is_isomorphic",
     "join",

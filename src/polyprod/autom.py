@@ -8,7 +8,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import ClosureBudgetExceeded
-from .poset import DEFAULT_SEARCH_CAP, PolytopePoset, order_isomorphisms
+from .poset import DEFAULT_SEARCH_CAP, PolytopePoset, _base_flag, order_isomorphisms
 from .products import CARTESIAN, JOIN, SHARED_FACES, _face_count, _lift, _swap
 
 DEFAULT_CLOSURE_CAP = 1_000_000
@@ -31,18 +31,6 @@ def _check_automorphism(P: PolytopePoset, m: tuple[int, ...]) -> None:
             raise ValueError("cover relation not preserved")
 
 
-def _base_flag(P: PolytopePoset) -> list[int]:
-    """A maximal chain that starts at a face of least rank and always steps
-    to the first upper cover; on a polytope, a flag."""
-    start = P.bottom_face
-    if start is None:
-        start = min(range(len(P)), key=P.ranks.__getitem__)
-    chain = [start]
-    while ups := P.upper[chain[-1]]:
-        chain.append(ups[0])
-    return chain
-
-
 def _orbit(point: int, generators: list[tuple[int, ...]]) -> set[int]:
     orbit = {point}
     frontier = [point]
@@ -59,9 +47,9 @@ def _orbit(point: int, generators: list[tuple[int, ...]]) -> set[int]:
 def aut_order(P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP) -> int:
     """|Aut(P)| by a stabilizer chain along one base flag, using only P.
 
-    With base flag f_0 < f_1 < ... < f_m (see ``_base_flag``; f_0 is the
-    bottom when P has one), the orbit-stabilizer theorem applied level by
-    level gives
+    With base flag f_0 < f_1 < ... < f_m (``poset._base_flag``, the flag
+    the search branches along; f_0 is the bottom when P has one), the
+    orbit-stabilizer theorem applied level by level gives
 
         |Aut(P)| = prod_i |f_i^Stab(f_0..f_{i-1})| * |Stab(f_0..f_m)|.
 
@@ -117,10 +105,11 @@ def closure(
     Precondition: the generators act on a polytope, as those of
     ``described_generators`` always do. The automorphism group of a
     polytope acts freely on its flags, so by orbit-stabilizer the group
-    they generate has exactly as many elements as the orbit of one base
-    flag under them; that orbit is what is counted, by breadth-first
-    search, storing flags rather than group elements. On a poset that is
-    not a polytope the count can fall short of the group order.
+    they generate has exactly as many elements as the orbit of the base
+    flag (``poset._base_flag``) under them; that orbit is what is counted,
+    by breadth-first search, storing flags rather than group elements. On a
+    poset that is not a polytope the count can fall short of the group
+    order.
 
     Flags are tuples of faces and generators tuples of images, so the
     image of a flag under a generator is one C call: ``itemgetter(*flag)``

@@ -1,4 +1,4 @@
-"""Ranked face posets: the carrier type plus sections, flags and isomorphism.
+"""Ranked face posets: the carrier type, sections, the base flag and isomorphism.
 
 Faces are the indices 0..n-1. A polytope is stored as its Hasse diagram
 (the upper and lower covers of every face); its order tables are bitsets,
@@ -331,26 +331,18 @@ def _induced(P: PolytopePoset, keep: int, shift: int) -> PolytopePoset:
     )
 
 
-def flags(P: PolytopePoset) -> list[tuple[str, ...]]:
-    """All maximal chains from bottom to top, in lexicographic id order
-    (see ``_id_order``)."""
-    labels = P.labels
-    _, place = _id_order(P)
-    out: list[tuple[str, ...]] = []
-    chain = [P.bottom_face]
-
-    def extend(f: int) -> None:
-        ups = sorted(P.upper[f], key=place.__getitem__)
-        if not ups:
-            out.append(tuple(labels[g] for g in chain))
-            return
-        for nxt in ups:
-            chain.append(nxt)
-            extend(nxt)
-            chain.pop()
-
-    extend(P.bottom_face)
-    return out
+def _base_flag(P: PolytopePoset) -> list[int]:
+    """The maximal chain that starts at the bottom, or at the first face of
+    least rank when P has none, and always steps to the first upper cover;
+    on a polytope, a flag. The isomorphism search branches along it, the
+    brute-force stabilizer chain pins it and ``closure`` counts its images."""
+    start = P.bottom_face
+    if start is None:
+        start = P.ranks.index(min(P.ranks))
+    chain = [start]
+    while ups := P.upper[chain[-1]]:
+        chain.append(ups[0])
+    return chain
 
 
 # -- isomorphism search ------------------------------------------------------
@@ -391,11 +383,13 @@ def order_isomorphisms(
 
     The next face comes from a queue of cover-neighbours of assigned faces
     that were left with at most one live candidate (forced, or a dead end to
-    back out of). Only when the queue runs dry, at a true branch point, are
-    the unassigned faces scanned for the fewest live candidates. In a
-    polytope the images of a flag force every other face (diamond condition
-    plus strong flag connectivity), so a search with a flag pinned takes no
-    branch at all.
+    back out of). When the queue runs dry, at a true branch point, it is the
+    first unassigned face of P's base flag (``_base_flag``), and when the
+    whole flag is assigned, the first unassigned face. In a polytope the
+    images of a flag force every other face (diamond condition plus strong
+    flag connectivity), so the search branches on flag faces alone, and a
+    search with a flag pinned takes no branch at all; the last rule keeps
+    the search complete when P or Q is not a polytope.
 
     The walk is one loop over one stack of frames, one per selected face.
     A frame holds the face's untried candidates as a mask, tried lowest
@@ -439,6 +433,7 @@ def order_isomorphisms(
     trail: list[tuple[int, int]] = []  # (face, live mask before narrowing)
     queue = list(compress(range(n), forced))
     head = 0
+    flag = _base_flag(P)
 
     def select() -> int:
         nonlocal head
@@ -447,14 +442,10 @@ def order_isomorphisms(
             head += 1
             if mapping[i] < 0:
                 return i
-        free = ~used
-        best, best_count = -1, n + 1
-        for i in range(n):
+        for i in flag:
             if mapping[i] < 0:
-                count = (live[i] & free).bit_count()
-                if count < best_count:
-                    best, best_count = i, count
-        return best
+                return i
+        return mapping.index(-1)
 
     # frames: [face, untried candidates as a mask, queue head before the
     #          face was selected, len(trail), len(queue) before each of its

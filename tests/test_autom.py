@@ -8,11 +8,11 @@ import polyprod as pp
 from polyprod import family, groups, poset
 from polyprod.autom import _check_automorphism, closure, described_generators
 from polyprod.errors import ClosureBudgetExceeded
-from polyprod.expr import eval_expr, parse_expr
+from polyprod.expr import eval_expr, expr_size, parse_expr
 from polyprod.poset import SearchBudgetExceeded, from_components, order_isomorphisms
 
-from conftest import family_polytope
-from oracles import compose, inverse, naive_automorphism_count
+from conftest import asts, family_polytope
+from oracles import compose, inverse, naive_automorphism_count, naive_maximal_chains
 
 
 def _group(P):
@@ -74,12 +74,15 @@ def test_group_axioms_literal(square):
 
 
 def test_automorphisms_preserve_rank_and_flags(triangle):
-    n_flags = len(pp.flags(triangle))
+    flags = set(naive_maximal_chains(triangle))
+    assert len(flags) == 6
+    labels = triangle.labels
     for g in _group(triangle):
         _check_automorphism(triangle, g)
         for i, j in enumerate(g):
             assert triangle.ranks[j] == triangle.ranks[i]
-    assert n_flags == len(pp.flags(triangle))
+        images = {tuple(labels[g[triangle.face(eid)]] for eid in f) for f in flags}
+        assert images == flags
 
 
 def test_closure_trivial(seg):
@@ -147,6 +150,16 @@ def test_formula_brute_generators_agree_through_step_5():
         P = family_polytope(node)
         assert pp.aut_order(P) == formula, node.path
         assert closure(described_generators(P, node), P) == formula, node.path
+
+
+def test_brute_matches_formula_at_step_6():
+    """Brute force = formula on all 64 step-6 nodes, up to I^x7 and its
+    pyramids: each search branches along the polytope's base flag."""
+    nodes = family.enumerate_family(6)
+    assert len(nodes) == 64
+    for node in nodes:
+        formula = groups.order(family.aut_descriptor(node))
+        assert pp.aut_order(family_polytope(node), max_elements=10**5) == formula, node.path
 
 
 def test_generators_match_formula_at_step_6():
@@ -247,6 +260,25 @@ def test_search_exact_off_polytopes(poset_data, rng):
     iso = pp.is_isomorphic(P, Q)
     assert iso is not None and sorted(iso.values()) == sorted(Q.labels)
     assert {(iso[a], iso[b]) for a, b in P.covers} == Q.covers
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(asts, st.randoms(use_true_random=False))
+def test_search_exact_on_renumbered_polytopes(ast, rng):
+    """A built polytope P and its copy Q, rebuilt from P's elements listed in
+    shuffled order, number their faces differently, so the search that
+    branches along P's base flag must find its images among Q's other
+    numbers: ``is_isomorphic`` finds a map that sends covers onto covers,
+    and the brute-force group orders agree."""
+    if expr_size(ast) > 200:
+        return
+    P = eval_expr(ast)
+    elements = P.elements()
+    Q = from_components(rng.sample(elements, len(elements)), P.covers)
+    iso = pp.is_isomorphic(P, Q)
+    assert iso is not None and sorted(iso.values()) == sorted(Q.labels)
+    assert {(iso[a], iso[b]) for a, b in P.covers} == Q.covers
+    assert pp.aut_order(P) == pp.aut_order(Q)
 
 
 def test_pinned_search(square):

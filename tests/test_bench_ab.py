@@ -52,11 +52,35 @@ def test_ab_applies_the_acceptance_rule_pass_by_pass(tmp_path):
     assert rc == 0
     assert set(report["acceptance"]) == {"wall_s", "query_p50_ms", "query_p90_ms"}
     for a in report["acceptance"].values():
-        assert set(a) == {"new_won", "base_median", "new_median", "base_iqr", "gain"}
+        assert set(a) == {"new_won", "base_median", "new_median", "base_iqr", "gain", "interval"}
         assert a["new_won"] in (0, 0.5, 1)  # two passes; a tie counts for neither
         assert a["base_median"] > 0 and a["new_median"] > 0 and a["base_iqr"] >= 0
         rule = a["new_won"] >= 0.9 and a["base_median"] - a["new_median"] > a["base_iqr"]
         assert a["gain"] is rule
+        assert 0 < a["interval"][0] <= a["interval"][1]
+
+
+def test_bootstrap_interval_on_fixed_lists():
+    """The interval of a ratio is seeded: equal lists give exactly 1, a
+    tree twice as slow on every pass exactly 2, and a repeated call the
+    same bounds, with the ratio of the medians between them."""
+    script = "\n".join([
+        "import json, sys",
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})",
+        "from ab import bootstrap_interval",
+        "base = [10.0, 12.0, 11.0, 9.5, 13.0, 10.5, 11.5]",
+        "new = [9.0, 12.5, 10.0, 9.0, 11.0, 10.0, 14.0]",
+        "pairs = [(base, base), (new, new), (base, [2 * x for x in base]), (base, new), (base, new)]",
+        "print(json.dumps([bootstrap_interval(b, n) for b, n in pairs]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=600, check=True)
+    same, same_new, doubled, first, second = json.loads(proc.stdout)
+    assert same == same_new == [1.0, 1.0]
+    assert doubled == [2.0, 2.0]
+    assert first == second
+    lo, hi = first
+    assert lo <= 10.0 / 11.0 <= hi and lo < hi
 
 
 def test_ab_reports_a_tree_with_wrong_answers_as_failing(tmp_path):

