@@ -65,10 +65,10 @@ def aut_order(P: PolytopePoset, max_elements: int = DEFAULT_SEARCH_CAP) -> int:
     keeps the count exact on any ranked poset.
 
     Every search is a call of the public ``order_isomorphisms``, which
-    reads two cached properties of P: the search tables ``P._search``
-    (signatures and signature masks), built from P's reachability bitsets
-    ``above`` and ``below``, and the cover masks ``P._masks``. The first
-    search builds both, and later searches build neither.
+    reads two cached properties of P, both built from its cover lists: the
+    search tables ``P._search`` (signatures and signature masks) and the
+    cover masks ``P._masks``. The first search builds both, and later
+    searches build neither; no search builds ``above`` or ``below``.
     """
     flag = _base_flag(P)
     found: list[tuple[int, ...]] = []

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 polytope invalid, 2 parse error or unwritable
-output file, 3 formula or generators method requested on a non-family
-expression, 4 budget exceeded.
+Exit codes: 0 success, 1 polytope invalid, 2 parse error, unwritable
+output file or ``verify`` given neither input or both, 3 formula or
+generators method requested on a non-family expression, 4 budget
+exceeded.
 
 An expression nesting deeper than ``expr.MAX_DEPTH`` (200) levels, counting
 open parentheses and operators on one path of its tree alike (a chain
@@ -31,6 +32,9 @@ cap of C`` line, before any node is built. Group orders of 10^4300 or more
 expression sizes do.
 ``build -o PATH`` exits 2, with ``cannot write output: ...`` on stderr and
 nothing on stdout, when PATH cannot be opened for writing.
+
+``verify`` with neither an expression nor ``--json FILE``, or with both,
+exits 2 with one line on stderr and reads nothing.
 
 ``verify --json FILE`` exits 2, with ``parse error: ...`` on stderr, when the
 file cannot be read, is not JSON (or nests too deeply to decode), lacks the
@@ -133,6 +137,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.expr and args.json_file:
+        print("verify takes an expression or --json FILE, not both", file=sys.stderr)
+        return EXIT_PARSE
     if args.json_file:
         try:
             with open(args.json_file) as fh:

@@ -12,10 +12,11 @@ rejects cover cycles. The constructor keeps that order and builds no
 table. Every derived table is a ``functools.cached_property`` of the
 poset, built on its first read and kept: the reachability bitsets
 ``above`` and ``below``, each one fold along the kept order, the cover
-masks ``_masks`` and the search tables ``_search``. A poset that only
-feeds a product, is written out or has its flags permuted builds none of
-them. Each face also has a string id, its label. Labels are translated to
-faces and back only in this module: by the label API on the poset, by
+masks ``_masks`` and the search tables ``_search``, which the searches
+read instead of the bitsets. A poset that only feeds a product, is written
+out or has its flags permuted builds none of them. Each face also has a
+string id, its label. Labels are translated to faces and back only in
+this module: by the label API on the poset, by
 ``from_components``/``from_json`` and by the serializers.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -60,9 +61,10 @@ class PolytopePoset:
     faces: by rank when ``_rank_steps``, which is whether every cover raises
     rank by one. The derived tables are cached properties, each built on
     its own first read: ``above`` by ``less_eq``, ``up_mask``, ``section``,
-    the pyramid oracle, the verifier's exact checks and the searches;
-    ``below`` by ``section``, the prism oracle, the verifier and the
-    searches; ``_masks`` and ``_search`` by the searches alone.
+    the pyramid oracle and the verifier's exact checks; ``below`` by
+    ``section``, the prism oracle and the verifier; ``_masks`` and
+    ``_search`` by the searches alone, which read neither ``above`` nor
+    ``below``.
     """
 
     def __init__(self, labels, ranks, upper, check=True):
@@ -139,12 +141,11 @@ class PolytopePoset:
     @cached_property
     def _search(self) -> tuple[list[int], dict]:
         """The search tables: the class of every face, numbering the
-        signatures (rank, numbers of lower and upper covers, sizes of its
-        down-set and up-set) in order of first face, and the mask of the
-        faces with each signature, in class order."""
-        down, up = map(int.bit_count, self.below), map(int.bit_count, self.above)
+        signatures (rank, numbers of lower and upper covers) in order of
+        first face, and the mask of the faces with each signature, in class
+        order."""
         index: dict[tuple, int] = {}
-        sig = zip(self.ranks, map(len, self.lower), map(len, self.upper), down, up)
+        sig = zip(self.ranks, map(len, self.lower), map(len, self.upper))
         classes = [index.setdefault(s, len(index)) for s in sig]
         masks = [0] * len(index)
         for i, c in enumerate(classes):
@@ -364,7 +365,8 @@ def order_isomorphisms(
     is built from.
 
     Method: backtracking over faces. A face's domain starts as the faces of
-    Q with its signature (rank, cover degrees, down-set and up-set sizes).
+    Q with its signature (rank and the numbers of its lower and upper
+    covers).
     Assigning F -> G narrows the live candidates of every unassigned
     cover-neighbour of F to the matching cover-neighbours of G, so a
     completed assignment maps every cover of P onto a cover of Q. It is then
@@ -374,22 +376,23 @@ def order_isomorphisms(
     Each poset keeps the tables a search reads, as cached properties, so
     the many searches of one poset (``aut_order`` runs one per candidate of
     its stabilizer chain) share them. The signatures and the faces of each
-    signature are the search tables ``_search``, read for P and Q, which
-    read ``above`` and ``below``. The cover masks ``_masks`` are read for Q
-    only, since P's covers are walked as lists; nothing but a search reads
-    them. When Q is P the multisets agree trivially and are not compared.
-    The first live masks and the first queue (the faces with one
-    candidate) are read off the classes of P's faces, in C-level passes.
+    signature are the search tables ``_search``, read for P and Q, from
+    the cover lists alone; no search reads ``above`` or ``below``. The cover
+    masks ``_masks`` are read for Q only, since P's covers are walked as
+    lists; nothing but a search reads them. When Q is P the multisets agree
+    trivially and are not compared. The first live masks are read off the
+    classes of P's faces in a C-level pass.
 
-    The next face comes from a queue of cover-neighbours of assigned faces
-    that were left with at most one live candidate (forced, or a dead end to
-    back out of). When the queue runs dry, at a true branch point, it is the
-    first unassigned face of P's base flag (``_base_flag``), and when the
-    whole flag is assigned, the first unassigned face. In a polytope the
-    images of a flag force every other face (diamond condition plus strong
-    flag connectivity), so the search branches on flag faces alone, and a
-    search with a flag pinned takes no branch at all; the last rule keeps
-    the search complete when P or Q is not a polytope.
+    The next face comes from a queue: first the pinned faces, then the
+    cover-neighbours of assigned faces that were left with at most one live
+    candidate (forced, or a dead end to back out of). When the queue runs
+    dry, at a true branch point, it is the first unassigned face of P's
+    base flag (``_base_flag``), and when the whole flag is assigned, the
+    first unassigned face. In a polytope the images of a flag force every
+    other face (diamond condition plus strong flag connectivity), so the
+    search branches on flag faces alone, and a search with a flag pinned
+    takes no branch at all; the last rule keeps the search complete when P
+    or Q is not a polytope.
 
     The walk is one loop over one stack of frames, one per selected face.
     A frame holds the face's untried candidates as a mask, tried lowest
@@ -419,19 +422,18 @@ def order_isomorphisms(
     # lookup by class, C-level
     images = [sig_mask[s] for s in by_sig_p]
     live = list(map(images.__getitem__, classes))
-    forced = list(map([m.bit_count() == 1 for m in images].__getitem__, classes))
-    for i, j in (pins or {}).items():
+    pins = pins or {}
+    for i, j in pins.items():
         live[i] &= 1 << j
         if not live[i]:
             return
-        forced[i] = True
 
     up_p, down_p = P.upper, P.lower
     up_q, down_q = Q._masks
     mapping = [-1] * n
     used = 0
     trail: list[tuple[int, int]] = []  # (face, live mask before narrowing)
-    queue = list(compress(range(n), forced))
+    queue = list(pins)
     head = 0
     flag = _base_flag(P)
 

@@ -16,9 +16,9 @@ What the walk leaves unsettled goes to the exact tests, which write the
 report's lists. When the tally fails, or a cover skips a rank, every
 interval of rank difference 2 is counted in order. Every section the
 certificate leaves open goes to the exact lower-cover test ``_connected``.
-In a polytope the tally holds and the facets of each section are connected
-through its ridges, so no exact test runs there; on other posets they
-decide exactly, and the report is the one the exact tests alone would give.
+On the polytopes the products build the tally holds and the walk joins
+every section, so no exact test runs there; elsewhere they decide
+exactly, and the report is the one the exact tests alone would give.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ def verify_polytope(P: PolytopePoset) -> ValidityReport:
     difference at least 3 (smaller sections are exempt by definition).
     Both are first settled by the one walk of ``_certify``: its tally of
     the paths R < H < G shows every interval of rank difference 2 a
-    diamond, and its ridge certificate passes the sections whose facets
-    are joined through ridges, which is sound since a shared ridge lies
-    inside the section. Only what the walk leaves unsettled reads
+    diamond, and its one pass of ridge folds passes the sections whose
+    facets it joins through ridges, which is sound since a shared ridge
+    lies inside the section. Only what the walk leaves unsettled reads
     ``P.above`` and is decided exactly: every interval of rank difference
     2 is counted when the tally fails, and the lower-cover test of
     ``_connected`` decides each section left open. Both exact checks visit
@@ -158,17 +158,19 @@ def _certify(P: PolytopePoset) -> tuple[bool, list[int]]:
     ``reach[H]`` starts as the F whose first H is H. A ridge R, a lower
     cover of two or more of G's lower covers, joins the first H over it to
     each later one: the walk folds the F strictly below R that either of
-    the two holds into both, as soon as it sights R again. When that first
-    pass leaves some ``reach[H]`` short of S_H, ``_open_sections`` repeats
-    the folds until a pass adds nothing. So ``reach[H]`` holds F once H is
-    joined to F's first H by a chain of ridges above F; this runs for every
-    F below G at once, one bitmask per H.
+    the two holds into both, as soon as it sights R again. Each ridge is
+    folded once, in the order the walk sights it, for every F below G at
+    once, one bitmask per H. So ``reach[H]`` holds F only when H is joined
+    to F's first H by a chain of ridges above F, though a chain whose
+    ridges the walk sights in another order may leave it short of S_H.
 
     Such a ridge R <= H, K lies inside (F, G), in both D_H and D_K of
     ``_connected``, which is the relation that test folds on. So a pair
     (F, G) is connected when every H above F holds F; the pairs returned
-    are the others, left to ``_connected``. In a polytope the facets of
-    every section are connected through its ridges, so none is returned.
+    are the others, left to ``_connected``. On the polytopes the products
+    lay out, the one pass joins every section and none is returned; on a
+    polytope stored with its faces in another order, a few sections can
+    be returned, and ``_connected`` passes them.
     """
     ranks, lower = P.ranks, P.lower
     strict = [m ^ 1 << i for i, m in enumerate(P.below)]
@@ -209,39 +211,13 @@ def _certify(P: PolytopePoset) -> tuple[bool, list[int]]:
                 reach[j], reach[i] = a | m, b | m
         if hold and first and max(first.values()) >= 0:  # an R sighted once
             hold = False
-        if reach != wanted:
-            for f in _bits(_open_sections(covers, lower, strict, wanted, reach)):
+        if reach != wanted:  # the F some lower cover of G is not joined to
+            left = 0
+            for want, held in zip(wanted, reach):
+                left |= want & ~held
+            for f in _bits(left):
                 tops[f] |= 1 << g
     return hold, tops
-
-
-def _open_sections(covers, lower, strict, wanted, reach) -> int:
-    """The F left open at G, whose lower covers are ``covers``, once the
-    ridge folds of ``_certify`` are repeated from ``reach``, pass after
-    pass, until a pass adds nothing or every ``reach[H]`` is ``wanted[H]``.
-    """
-    ridges, first = [], {}
-    for i, h in enumerate(covers):
-        for r in lower[h]:
-            j = first.setdefault(r, i)
-            if j != i:
-                ridges.append((strict[r], j, i))
-    grown = True
-    while grown and reach != wanted:
-        grown = False
-        for below_r, i, j in ridges:
-            a, b = reach[i], reach[j]
-            m = (a | b) & below_r
-            if m & ~a:
-                reach[i] = a | m
-                grown = True
-            if m & ~b:
-                reach[j] = b | m
-                grown = True
-    left = 0
-    for want, held in zip(wanted, reach):
-        left |= want & ~held
-    return left
 
 
 def _connected(down: tuple[int, ...], coatoms: list[int], proper: int) -> bool:

@@ -664,6 +664,16 @@ def test_incomplete_input_exits_2_with_one_line(capsys, argv, err):
     assert capsys.readouterr() == ("", err + "\n")
 
 
+def test_verify_of_an_expression_and_a_file_exits_2_with_one_line(capsys, tmp_path):
+    """verify checks one input: given an expression and a file, here one
+    holding the square, it exits 2 with one line and verifies neither."""
+    path = tmp_path / "square.json"
+    assert main(["build", "IxI", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "pt^*3", "--json", str(path)]) == 2
+    assert capsys.readouterr() == ("", "verify takes an expression or --json FILE, not both\n")
+
+
 def test_exponent_with_too_many_digits_is_a_parse_error(capsys):
     assert main(["build", "pt^*" + "9" * 5000]) == 2
     assert capsys.readouterr().err == "parse error: exponent too large (at position 2)\n"

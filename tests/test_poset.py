@@ -1,4 +1,9 @@
 import json
+import random
+import sys
+from collections import defaultdict
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +11,7 @@ from hypothesis import given, settings
 import polyprod as pp
 from polyprod import poset
 from polyprod.cli import main
-from polyprod.expr import expr_size
+from polyprod.expr import Atom, Power, Product, expr_size, render_expr
 from polyprod.errors import (
     DanglingCover,
     DuplicateId,
@@ -16,6 +21,7 @@ from polyprod.errors import (
     ParseError,
     UnknownId,
 )
+from polyprod.products import CARTESIAN, JOIN
 
 from conftest import asts
 from oracles import naive_leq, naive_maximal_chains, naive_interval
@@ -171,6 +177,86 @@ def test_not_isomorphic_equal_size_signatures_differ(table_holders):
     assert pp.is_isomorphic(P, R) is not None
     assert vars(P)["_search"] is tables
     assert table_holders("_search") == [P, Q, R]
+
+
+def _shapes():
+    """``perfbench/shapes.py``, whose factorisations (``canon``) are computed
+    from the construction alone, without polyprod."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import shapes
+    finally:
+        sys.path.pop(0)
+    return shapes
+
+
+def _random_ast(rng, leaves):
+    """A random expression tree over ``leaves`` atoms, counting a power's
+    base as one fewer."""
+    if leaves == 1:
+        return Atom(rng.choice(("pt", "I")))
+    op = rng.choice((JOIN, CARTESIAN))
+    if rng.random() < 0.3:
+        return Power(op, _random_ast(rng, leaves - 1), rng.randint(2, 4))
+    left = rng.randint(1, leaves - 1)
+    return Product(op, _random_ast(rng, left), _random_ast(rng, leaves - left))
+
+
+def test_search_answers_not_isomorphic_exactly_where_factorisations_differ():
+    """On 600 distinct seeded random expressions of up to 300 faces, every
+    pair of equal size has a map found by ``is_isomorphic`` exactly when
+    ``perfbench/shapes.py`` gives both the same factorisation. On these
+    products the signature multisets (rank and cover degrees) already tell
+    every pair that is not isomorphic apart, so a hexagon against two
+    triangles under one top, whose multisets agree, makes the search itself
+    answer "not isomorphic"."""
+    shapes = _shapes()
+    fold = {JOIN: shapes.join, CARTESIAN: shapes.cart}
+
+    def canon(e):
+        if isinstance(e, Atom):
+            return shapes.PT if e.name == "pt" else shapes.I
+        if isinstance(e, Product):
+            return fold[e.op](canon(e.left), canon(e.right))
+        out = base = canon(e.base)
+        for _ in range(e.k - 1):
+            out = fold[e.op](out, base)
+        return out
+
+    rng = random.Random(0)
+    corpus = {}
+    while len(corpus) < 600:
+        ast = _random_ast(rng, rng.randint(1, 6))
+        if expr_size(ast) <= 300:
+            corpus.setdefault(render_expr(ast), ast)
+    by_size = defaultdict(list)
+    for text, ast in corpus.items():
+        by_size[expr_size(ast)].append((text, pp.eval_expr(ast), canon(ast).canon))
+    apart = 0
+    for group in by_size.values():
+        for (s, P, a), (t, Q, b) in combinations(group, 2):
+            assert (pp.is_isomorphic(P, Q) is not None) == (a == b), (s, t)
+            apart += a != b
+    assert apart > 300
+
+    hexagon, triangles = _polygons(6), _polygons(3, 3)
+    counts = [{s: m.bit_count() for s, m in P._search[1].items()} for P in (hexagon, triangles)]
+    assert counts[0] == counts[1]
+    assert pp.is_isomorphic(hexagon, triangles) is None
+    assert pp.is_isomorphic(triangles, hexagon) is None
+    assert pp.is_isomorphic(hexagon, _polygons(6)) is not None
+
+
+def _polygons(*sizes):
+    """Polygons with ``sizes`` vertices, disjoint, under one top face."""
+    elements, covers = [("0", -1), ("1", 2)], []
+    for p, k in enumerate(sizes):
+        vertices = [f"v{p}.{i}" for i in range(k)]
+        for i, v in enumerate(vertices):
+            e = f"e{p}.{i}"
+            elements += [(v, 0), (e, 1)]
+            covers += [("0", v), (v, e), (vertices[i - 1], e), (e, "1")]
+    return pp.from_components(elements, covers)
 
 
 def test_isomorphic_identity(square):
@@ -346,29 +432,29 @@ def test_cover_lists_must_name_faces(upper, error, match):
     [
         (["build", "pt^*9"], 0),
         (["aut", "I^x4", "--method", "generators"], 0),
+        (["aut", "I^x4", "--method", "brute"], 0),
         (["verify", "pt^*9"], 1),
     ],
-    ids=["build", "aut-generators", "verify"],
+    ids=["build", "aut-generators", "aut-brute", "verify"],
 )
 def test_reachability_tables_built_only_where_read(table_holders, capsys, argv, builds):
-    """Products, builds and the generators method read no reachability
-    table; the verifier builds ``below`` of the poset it checks, and on a
-    polytope not ``above``, which only its exact checks read."""
+    """Products, builds and both searching methods of ``aut`` read no
+    reachability table; the verifier builds ``below`` of the poset it
+    checks, and on a polytope not ``above``, which only its exact checks
+    read."""
     assert main(argv) == 0
     assert len(table_holders("below")) == builds
     assert table_holders("above") == []
 
 
-def test_aut_order_builds_reachability_tables_once(table_holders):
-    """Only P holds the tables, and a second aut_order reads the same ones."""
+def test_aut_order_builds_no_reachability_table(table_holders):
+    """The searches of aut_order read tables built from the cover lists
+    alone: only P holds the search tables, and no poset ``above`` or
+    ``below``."""
     P = pp.eval_expr(pp.parse_expr("(I*pt)xI"))
+    assert pp.aut_order(P) == 12
+    assert table_holders("_search") == [P]
     assert table_holders("above") == table_holders("below") == []
-    assert pp.aut_order(P) == 12
-    assert table_holders("above") == table_holders("below") == [P]
-    tables = vars(P)["above"], vars(P)["below"]
-    assert pp.aut_order(P) == 12
-    assert vars(P)["above"] is tables[0] and vars(P)["below"] is tables[1]
-    assert table_holders("above") == table_holders("below") == [P]
 
 
 _KAHN = poset._topological_order

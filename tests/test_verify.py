@@ -204,23 +204,36 @@ def test_violation_lists_are_capped():
     assert len(report.diamond_violations) == 20
 
 
-def test_verifier_matches_naive_oracle_on_cover_deletions():
+def test_verifier_matches_naive_oracle_on_cover_deletions(exact_tests):
     """On every family node through step 3, intact and with a seeded sample
-    of 1 to 40 covers deleted, the violation lists and verdicts equal those
-    of the naive oracle (which also fixes their order and their cap)."""
-    rng = random.Random(4)
+    of 1 to 40 covers deleted, each with its elements listed as built and
+    in a seeded shuffled order, the violation lists and verdicts equal
+    those of the naive oracle (which also fixes their order and their cap).
+    Shuffled, the faces are numbered in an order the products never lay
+    out, and the one pass of ridge folds leaves some sections of the intact
+    polytopes to the exact test, which passes them."""
+    rng, shuffle = random.Random(4), random.Random(5)
+    shuffled_intact = 0
     for node in (n for steps in range(4) for n in family.enumerate_family(steps)):
         Q = family_polytope(node)
         covers = sorted(Q.covers)
+        elements = Q.elements()
         for k in (0, 1, 1, 2, 3, 10, 40):
             deleted = set(rng.sample(covers, min(k, len(covers))))
-            P = from_components(Q.elements(), set(covers) - deleted, check=False)
-            report = pp.verify_polytope(P)
-            diamond, disconnected = naive_violations(P)
-            assert report.diamond_violations == diamond, (node.path, k)
-            assert report.connectivity_violations == disconnected, (node.path, k)
-            assert report.diamond_ok == (not diamond)
-            assert report.connected_ok == (not disconnected)
+            for listed in (elements, shuffle.sample(elements, len(elements))):
+                P = from_components(listed, set(covers) - deleted, check=False)
+                before = len(exact_tests)
+                report = pp.verify_polytope(P)
+                diamond, disconnected = naive_violations(P)
+                case = (node.path, k, listed is elements)
+                assert report.diamond_violations == diamond, case
+                assert report.connectivity_violations == disconnected, case
+                assert report.diamond_ok == (not diamond)
+                assert report.connected_ok == (not disconnected)
+                if not k and listed is not elements:
+                    assert report.is_polytope, case
+                    shuffled_intact += len(exact_tests) - before
+    assert shuffled_intact
 
 
 @st.composite
@@ -311,11 +324,11 @@ _FAMILY_THROUGH_STEP_4 = [n.path for steps in range(5) for n in family.enumerate
     ids=lambda shape: shape if isinstance(shape, str) else ",".join(shape) or "I",
 )
 def test_ridges_certify_every_section_of_a_polytope(shape, exact_tests):
-    """In a polytope every interval of rank difference 2 is a diamond and
-    the facets of every section are connected through its ridges, so the
-    one walk's tally holds, its ridge certificate leaves no section open
-    and the exact test never runs: on every family node through step 4, on
-    pt^*9 and on the worked example."""
+    """In a polytope every interval of rank difference 2 is a diamond, so
+    the one walk's tally holds; on the polytopes the products lay out, its
+    one pass of ridge folds also joins the facets of every section, so it
+    leaves no section open and the exact test never runs: on every family
+    node through step 4, on pt^*9 and on the worked example."""
     if isinstance(shape, str):
         P = eval_expr(parse_expr(shape))
     else:
