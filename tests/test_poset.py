@@ -213,12 +213,12 @@ def test_search_answers_not_isomorphic_exactly_where_factorisations_differ():
     shapes = _shapes()
     fold = {JOIN: shapes.join, CARTESIAN: shapes.cart}
 
-    def canon(e):
+    def shape(e):
         if isinstance(e, Atom):
             return shapes.PT if e.name == "pt" else shapes.I
         if isinstance(e, Product):
-            return fold[e.op](canon(e.left), canon(e.right))
-        out = base = canon(e.base)
+            return fold[e.op](shape(e.left), shape(e.right))
+        out = base = shape(e.base)
         for _ in range(e.k - 1):
             out = fold[e.op](out, base)
         return out
@@ -231,7 +231,7 @@ def test_search_answers_not_isomorphic_exactly_where_factorisations_differ():
             corpus.setdefault(render_expr(ast), ast)
     by_size = defaultdict(list)
     for text, ast in corpus.items():
-        by_size[expr_size(ast)].append((text, pp.eval_expr(ast), canon(ast).canon))
+        by_size[expr_size(ast)].append((text, pp.eval_expr(ast), shape(ast).canon))
     apart = 0
     for group in by_size.values():
         for (s, P, a), (t, Q, b) in combinations(group, 2):
