@@ -1,4 +1,4 @@
-"""Brute-force automorphism group orders against the family formula.
+"""Brute-force and generator group orders against the family formula.
 
     python3 bench/crosscheck.py --steps N [--src SRC]
 
@@ -6,14 +6,20 @@ For every node of the inductive family through step N, as ``polyprod family
 --steps k --json`` lists them for k = 0..N, the node's expression is spelt
 step by step from the root edge: ``I``, then ``(...) x I`` or ``(...) * pt``
 for each step of its path. ``polyprod.cli.main`` answers ``aut --method
-formula`` and ``aut --method brute --max-elements 100000`` on it, in this
-process, and the two ``order:`` lines must agree; a command that fails has
-no such line and disagrees. SRC is a directory that holds a ``polyprod``
-package, by default the ``src`` of this checkout.
+formula``, and ``aut --method brute`` and ``aut --method generators`` with
+``--max-elements 100000``, on it, in this process. Each method's ``order:``
+line must agree with the formula's. A method that exits 4, its budget passed
+(``I^x8``'s 10321920 elements pass the default closure cap of 10^6), is
+skipped on that node, which counts neither as agreement nor as disagreement.
+Any other command that fails has no such line and disagrees. SRC is a
+directory that holds a ``polyprod`` package, by default the ``src`` of this
+checkout.
 
 The last line is JSON: the number of nodes, the disagreements (each node's
-path and both lines), the total time of the brute-force commands in seconds
-and the slowest of them. The exit code is 1 on any disagreement, else 0.
+path, the formula's line and the line of each method that differs), the
+paths each method skipped, the total time of each method's commands in
+seconds and the slowest brute-force command. The exit code is 1 on any
+disagreement, else 0.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from time import perf_counter
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 BRUTE_CAP = 100_000
+METHODS = ("brute", "generators")
 _STEP_TEXT = {"xI": " x I", "*pt": " * pt"}
 
 
@@ -43,12 +50,13 @@ def load_cli(src: str):
     return cli
 
 
-def ask(cli, argv: list[str]) -> str:
-    """What ``cli.main(argv)`` prints on stdout; stderr is dropped."""
+def ask(cli, argv: list[str]) -> tuple[int, str]:
+    """The exit code of ``cli.main(argv)`` and what it prints on stdout;
+    stderr is dropped."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        cli.main(argv)
-    return out.getvalue()
+        code = cli.main(argv)
+    return code, out.getvalue()
 
 
 def order_line(text: str):
@@ -66,24 +74,32 @@ def crosscheck(cli, steps: int) -> dict:
     cap = ["--max-elements", str(BRUTE_CAP)]
     nodes = []
     for k in range(steps + 1):
-        nodes += json.loads(ask(cli, [*cap, "family", "--steps", str(k), "--json"]))
+        nodes += json.loads(ask(cli, [*cap, "family", "--steps", str(k), "--json"])[1])
     disagreements = []
-    brute_s = 0.0
+    skipped = {method: [] for method in METHODS}
+    seconds = dict.fromkeys(METHODS, 0.0)
     slowest = {"path": None, "brute_s": 0.0}
     for node in nodes:
         path = ",".join(node["path"]) or "(root)"
         text = expression(node["path"])
-        formula = order_line(ask(cli, ["aut", "--method", "formula", text]))
-        start = perf_counter()
-        brute = order_line(ask(cli, [*cap, "aut", "--method", "brute", text]))
-        elapsed = perf_counter() - start
-        brute_s += elapsed
-        if elapsed > slowest["brute_s"]:
-            slowest = {"path": path, "brute_s": elapsed}
-        if formula is None or formula != brute:
-            disagreements.append({"path": path, "formula": formula, "brute": brute})
+        formula = order_line(ask(cli, ["aut", "--method", "formula", text])[1])
+        differs = {}
+        for method in METHODS:
+            start = perf_counter()
+            code, out = ask(cli, [*cap, "aut", "--method", method, text])
+            elapsed = perf_counter() - start
+            seconds[method] += elapsed
+            if method == "brute" and elapsed > slowest["brute_s"]:
+                slowest = {"path": path, "brute_s": elapsed}
+            if code == cli.EXIT_BUDGET:
+                skipped[method].append(path)
+            elif formula is None or order_line(out) != formula:
+                differs[method] = order_line(out)
+        if formula is None or differs:
+            disagreements.append({"path": path, "formula": formula, **differs})
     return {"steps": steps, "nodes": len(nodes), "disagreements": disagreements,
-            "brute_s": brute_s, "slowest": slowest}
+            "skipped": skipped, "brute_s": seconds["brute"],
+            "generators_s": seconds["generators"], "slowest": slowest}
 
 
 def main(argv=None) -> int:

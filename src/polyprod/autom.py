@@ -22,13 +22,14 @@ def _check_automorphism(P: PolytopePoset, m: tuple[int, ...]) -> None:
     rank- and cover-preserving bijection of P."""
     if sorted(m) != list(range(len(P))):
         raise ValueError("not a bijection on the element set")
-    for i, j in enumerate(m):
-        if P.ranks[i] != P.ranks[j]:
-            raise ValueError(f"rank not preserved at face {i}")
-    for a, ups in enumerate(P.upper):
-        images = P.upper[m[a]]
-        if any(m[b] not in images for b in ups):
-            raise ValueError("cover relation not preserved")
+    ranks = P.ranks
+    if tuple(map(ranks.__getitem__, m)) != ranks:
+        i = next(i for i, j in enumerate(m) if ranks[i] != ranks[j])
+        raise ValueError(f"rank not preserved at face {i}")
+    for ups, images in zip(P.upper, map(P.upper.__getitem__, m)):
+        for b in ups:
+            if m[b] not in images:
+                raise ValueError("cover relation not preserved")
 
 
 def _orbit(point: int, generators: list[tuple[int, ...]]) -> set[int]:
@@ -107,17 +108,30 @@ def closure(
     polytope acts freely on its flags, so by orbit-stabilizer the group
     they generate has exactly as many elements as the orbit of the base
     flag (``poset._base_flag``) under them; that orbit is what is counted,
-    by breadth-first search, storing flags rather than group elements. On a
-    poset that is not a polytope the count can fall short of the group
-    order.
+    storing one flag per element rather than the element itself.
 
-    Flags are tuples of faces and generators tuples of images, so the
-    image of a flag under a generator is one C call: ``itemgetter(*flag)``
-    is made once per frontier flag and applied to each generator.
+    The group is grown one generator at a time, coset by coset (Dimino's
+    algorithm). With H the group of the generators taken so far and s the
+    next one, s is skipped when its image of the base flag is already
+    counted, as it is then in H. Otherwise the left cosets g H that make up
+    <H, s> are walked from the identity: for each coset representative r
+    and each generator t taken so far, t r is looked up by its image of the
+    base flag, and when that flag is new, t r starts a new coset, whose
+    flags are the images under t r of H's flags. Flags are tuples of faces
+    and permutations tuples of images, so each image is one C call of an
+    ``itemgetter`` made once per flag of H or per representative. Each
+    element of the group is made once, not once per generator.
+
+    On a polytope the cosets' flags are disjoint, |H| of them per coset, so
+    ``ClosureBudgetExceeded`` is raised before a coset is added that would
+    take the count past ``max_size``: exactly when the group has more than
+    ``max_size`` elements. On a poset whose automorphisms can fix a flag,
+    which no polytope has, cosets can share flags and a generator outside
+    H can look as if it were in H; the count is then at most the orbit of
+    the base flag, itself at most the group order.
 
     Each generator is first checked to be a rank- and cover-preserving
-    bijection (``ValueError`` otherwise). ``ClosureBudgetExceeded`` is
-    raised once the orbit, and so the group, exceeds ``max_size``.
+    bijection (``ValueError`` otherwise).
     """
     for g in generators:
         _check_automorphism(P, g)
@@ -126,22 +140,26 @@ def closure(
         # itemgetter of one index returns the bare face, not a 1-tuple; the
         # flag (f, f) has one image per image of f, so the count is the same
         base *= 2
+    at_base = itemgetter(*base)
     seen = {base}
-    frontier = [base]
-    while frontier:
-        new = []
-        for flag in frontier:
-            images = itemgetter(*flag)
-            for g in generators:
-                image = images(g)
-                if image not in seen:
-                    seen.add(image)
-                    new.append(image)
-                    if len(seen) > max_size:
+    taken = []
+    for s in generators:
+        taken.append(s)
+        if at_base(s) in seen:
+            continue
+        of_h = [itemgetter(*flag) for flag in seen]
+        reps = [tuple(range(len(s)))]
+        for r in reps:
+            at_r = itemgetter(*at_base(r))
+            for t in taken:
+                if at_r(t) not in seen:
+                    if len(seen) + len(of_h) > max_size:
                         raise ClosureBudgetExceeded(
                             f"closure exceeds the cap of {max_size}"
                         )
-        frontier = new
+                    g = tuple(map(t.__getitem__, r))
+                    seen.update([get(g) for get in of_h])
+                    reps.append(g)
     return len(seen)
 
 

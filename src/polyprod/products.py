@@ -61,7 +61,8 @@ def _lift(op: str, g, h) -> tuple[int, ...]:
     automorphisms fix the bottom."""
     s = SHARED_FACES[op]
     stride = len(h) - s
-    return (*range(s), *((a - s) * stride + b for a in g[s:] for b in h[s:]))
+    tail = h[s:]
+    return (*range(s), *[(a - s) * stride + b for a in g[s:] for b in tail])
 
 
 def _swap(op: str, m: int) -> tuple[int, ...]:

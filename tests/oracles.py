@@ -156,3 +156,17 @@ def inverse(g):
     for i, j in enumerate(g):
         inv[j] = i
     return tuple(inv)
+
+
+def naive_group_order(generators):
+    """The order of the group the permutations ``generators`` generate, by
+    closing the identity under ``compose`` with each of them and counting
+    the permutations; no flags, so exact on any poset."""
+    if not generators:
+        return 1
+    group = {tuple(range(len(generators[0])))}
+    frontier = list(group)
+    while frontier:
+        frontier = list({compose(g, h) for h in frontier for g in generators} - group)
+        group.update(frontier)
+    return len(group)

@@ -12,7 +12,13 @@ from polyprod.expr import eval_expr, expr_size, parse_expr
 from polyprod.poset import SearchBudgetExceeded, from_components, order_isomorphisms
 
 from conftest import asts, family_polytope
-from oracles import compose, inverse, naive_automorphism_count, naive_maximal_chains
+from oracles import (
+    compose,
+    inverse,
+    naive_automorphism_count,
+    naive_group_order,
+    naive_maximal_chains,
+)
 
 
 def _group(P):
@@ -163,16 +169,63 @@ def test_brute_matches_formula_at_step_6():
 
 
 def test_generators_match_formula_at_step_6():
-    """Closure = formula on the step-6 nodes that closure can count quickly:
-    |Aut| * faces <= 2 * 10^6."""
-    checked = 0
-    for node in family.enumerate_family(6):
+    """Closure = formula on all 64 step-6 nodes, I^x7 (645120 elements)
+    included."""
+    nodes = family.enumerate_family(6)
+    assert len(nodes) == 64
+    for node in nodes:
         formula = groups.order(family.aut_descriptor(node))
         P = family_polytope(node)
-        if formula * len(P) <= 2_000_000:
-            assert closure(described_generators(P, node), P) == formula, node.path
-            checked += 1
-    assert checked == 50
+        assert closure(described_generators(P, node), P) == formula, node.path
+
+
+def _subsets(gens):
+    """Every non-empty subset of ``gens``, in order."""
+    return [list(c) for k in range(1, len(gens) + 1) for c in itertools.combinations(gens, k)]
+
+
+def test_closure_counts_subgroups_through_step_3():
+    """Closure = the enumerated order of the group of every non-empty subset
+    of each family node's generators through step 3, taken in order and in
+    reverse, and with a generator repeated or the identity added, which
+    closure skips as already counted."""
+    nodes = [n for steps in range(4) for n in family.enumerate_family(steps)]
+    assert len(nodes) == 15
+    for node in nodes:
+        P = family_polytope(node)
+        for subset in _subsets(described_generators(P, node)):
+            order = naive_group_order(subset)
+            assert order <= 384
+            for gens in (subset, subset[::-1], subset + subset[:1], [_identity(P), *subset]):
+                assert closure(gens, P) == order, (node.path, gens)
+
+
+def test_closure_counts_subgroups_of_a_non_family_shape():
+    """Closure = the enumerated order on subsets of the brute-force group of
+    a triangle times a triangle, (I * pt) x (pt^*3), of order 72."""
+    P = eval_expr(parse_expr("(I*pt)x(pt^*3)"))
+    group = _group(P)
+    assert len(group) == 72
+    rng = random.Random(5)
+    orders = set()
+    for k in (1, 1, 2, 2, 2, 3, 3):
+        subset = rng.sample(group, k)
+        order = naive_group_order(subset)
+        assert closure(subset, P) == order, subset
+        orders.add(order)
+    assert len(orders) > 2
+
+
+@pytest.mark.parametrize("path", [["xI", "xI"], ["*pt", "xI"], ["xI", "*pt", "*pt"]])
+def test_closure_budget_edge(path):
+    """A cap of |G| counts the whole group; a cap of |G| - 1 raises."""
+    node = family.node_for_path(path)
+    P = family_polytope(node)
+    gens = described_generators(P, node)
+    order = groups.order(family.aut_descriptor(node))
+    assert closure(gens, P, max_size=order) == order
+    with pytest.raises(ClosureBudgetExceeded):
+        closure(gens, P, max_size=order - 1)
 
 
 def _square_mutants(square):
