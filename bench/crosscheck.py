@@ -1,6 +1,7 @@
-"""Brute-force and generator group orders against the family formula.
+"""Brute-force and generator group orders against the family formula, and
+brute force against closed-form orders on random products.
 
-    python3 bench/crosscheck.py --steps N [--src SRC]
+    python3 bench/crosscheck.py --steps N [--random K --seed S] [--src SRC]
 
 For every node of the inductive family through step N, as ``polyprod family
 --steps k --json`` lists them for k = 0..N, the node's expression is spelt
@@ -15,11 +16,20 @@ Any other command that fails has no such line and disagrees. SRC is a
 directory that holds a ``polyprod`` package, by default the ``src`` of this
 checkout.
 
+With ``--random K``, K expressions are drawn with repeats, from seed S
+(default 0): joins and Cartesian products of ``pt`` and ``I``, nested at
+most 4 deep, kept when they have 20 to 400 faces. ``aut --method brute
+--max-elements 100000`` answers each, and its ``order:`` line must give the
+order that ``perfbench/shapes.py`` computes from the expression's
+factorisation, without ``polyprod``. Exit 4 is a skip here too.
+
 The last line is JSON: the number of nodes, the disagreements (each node's
 path, the formula's line and the line of each method that differs), the
 paths each method skipped, the total time of each method's commands in
-seconds and the slowest brute-force command. The exit code is 1 on any
-disagreement, else 0.
+seconds and the slowest brute-force command, and under ``random`` the same
+for the random expressions (each disagreement gives the expression, the
+expected line and brute force's). The exit code is 1 on any disagreement,
+else 0.
 """
 
 from __future__ import annotations
@@ -30,11 +40,16 @@ import importlib
 import io
 import json
 import os
+import random
 import sys
 from time import perf_counter
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 BRUTE_CAP = 100_000
+RANDOM_DEPTH = 4
+RANDOM_FACES = range(20, 401)
+LEAF_CHANCE = 0.3  # of a node above the deepest level being pt or I
 METHODS = ("brute", "generators")
 _STEP_TEXT = {"xI": " x I", "*pt": " * pt"}
 
@@ -102,14 +117,74 @@ def crosscheck(cli, steps: int) -> dict:
             "generators_s": seconds["generators"], "slowest": slowest}
 
 
+def load_shapes():
+    """``perfbench/shapes.py``, which computes a product's faces and its
+    automorphism group's order from the construction alone."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import shapes
+    finally:
+        sys.path.pop(0)
+    return shapes
+
+
+def random_shapes(shapes, k: int, seed: int) -> list:
+    """k random products drawn with repeats: pt or I at depth RANDOM_DEPTH,
+    above it pt or I with chance LEAF_CHANCE, else the join or Cartesian
+    product of two draws one level deeper; a draw is kept when its faces
+    fall in RANDOM_FACES. Such trees have fewer than 200 factorisations
+    in the band, so the draw does not ask for distinct ones."""
+    rng = random.Random(seed)
+    atoms, products = (shapes.PT, shapes.I), (shapes.join, shapes.cart)
+
+    def draw(depth):
+        if depth == RANDOM_DEPTH or rng.random() < LEAF_CHANCE:
+            return rng.choice(atoms)
+        return rng.choice(products)(draw(depth + 1), draw(depth + 1))
+
+    drawn = []
+    while len(drawn) < k:
+        shape = draw(0)
+        if shape.faces in RANDOM_FACES:
+            drawn.append(shape)
+    return drawn
+
+
+def crosscheck_random(cli, k: int, seed: int) -> dict:
+    shapes = load_shapes()
+    disagreements, skipped = [], []
+    seconds = 0.0
+    slowest = {"text": None, "brute_s": 0.0}
+    for shape in random_shapes(shapes, k, seed):
+        expected = f"order: {shapes.canon_order(shape.canon)}"
+        start = perf_counter()
+        code, out = ask(cli, ["--max-elements", str(BRUTE_CAP), "aut", "--method", "brute",
+                              shape.text])
+        elapsed = perf_counter() - start
+        seconds += elapsed
+        if elapsed > slowest["brute_s"]:
+            slowest = {"text": shape.text, "brute_s": elapsed}
+        if code == cli.EXIT_BUDGET:
+            skipped.append(shape.text)
+        elif order_line(out) != expected:
+            disagreements.append({"text": shape.text, "expected": expected,
+                                  "brute": order_line(out)})
+    return {"cases": k, "seed": seed, "disagreements": disagreements, "skipped": skipped,
+            "brute_s": seconds, "slowest": slowest}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--steps", type=int, required=True)
+    parser.add_argument("--random", type=int, default=0, metavar="K")
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--src", default=SRC)
     args = parser.parse_args(argv)
-    report = crosscheck(load_cli(os.path.abspath(args.src)), args.steps)
+    cli = load_cli(os.path.abspath(args.src))
+    report = crosscheck(cli, args.steps)
+    report["random"] = crosscheck_random(cli, args.random, args.seed)
     print(json.dumps(report))
-    return 1 if report["disagreements"] else 0
+    return 1 if report["disagreements"] or report["random"]["disagreements"] else 0
 
 
 if __name__ == "__main__":

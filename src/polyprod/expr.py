@@ -24,11 +24,11 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetExceeded, MixedOperatorsWithoutParens, ParseError
+from .errors import BudgetExceeded, MixedOperatorsWithoutParens, NonPositiveExponent, ParseError
 from .family import JOIN_STEP, TIMES_STEP, FamilyNode, _runs
 from .groups import _EXACT_BELOW, format_count
 from .poset import DEFAULT_SEARCH_CAP, PolytopePoset, edge, point
-from .products import CARTESIAN, JOIN, SHARED_FACES, _TABLES, _face_count, power, product
+from .products import CARTESIAN, JOIN, SHARED_FACES, _TABLES, _face_count, product
 
 
 @dataclass(frozen=True)
@@ -196,28 +196,39 @@ def render_expr(e: ConstructionExpr) -> str:
 
 
 def expr_size(e: ConstructionExpr) -> int:
-    """Element count of the face poset, computed without building it."""
-    return _size(e, None)
+    """Element count of the face poset, computed without building it.
+    NonPositiveExponent for a power below 1."""
+    return _cost(e, None)[0]
 
 
-def _size(e: ConstructionExpr, limit: Optional[int]) -> int:
-    """expr_size(e), or ``limit`` when that is at least ``limit``.
+def _cost(e: ConstructionExpr, limit: Optional[int]) -> tuple[int, int]:
+    """The face count of e and how many products ``eval_expr`` builds for
+    it, one per ``*`` or ``x`` node and k - 1 per power; each is ``limit``
+    when it is at least ``limit``. NonPositiveExponent for a power below 1.
 
     Every size grows with the sizes of the operands, which are at least 2,
     so a node of size below the limit has operands of size below it, and an
     operand clamped to the limit keeps its node at or above it. So no value
     computed has more than about twice the limit's digits, whatever the
-    exponents."""
+    exponents. A Cartesian power of a 2-face operand, such as ``(pt x pt)^x
+    k``, has 2 faces whatever k is, so only the product count bounds the
+    work of building it."""
     if isinstance(e, Atom):
-        size = 2 if e.name == "pt" else 4
+        size, count = (2 if e.name == "pt" else 4), 0
     elif isinstance(e, Product):
-        size = _face_count(e.op, _size(e.left, limit), _size(e.right, limit))
+        (left, left_count), (right, right_count) = _cost(e.left, limit), _cost(e.right, limit)
+        size, count = _face_count(e.op, left, right), 1 + left_count + right_count
     elif isinstance(e, Power):
+        if e.k < 1:
+            raise NonPositiveExponent(f"exponent must be >= 1, got {e.k}")
+        base, count = _cost(e.base, limit)
         s = SHARED_FACES[e.op]
-        size = _power(_size(e.base, limit) - s, e.k, limit) + s
+        size, count = _power(base - s, e.k, limit) + s, e.k - 1 + count
     else:
         raise TypeError(f"not an expression node: {e!r}")
-    return size if limit is None or size < limit else limit
+    if limit is None:
+        return size, count
+    return min(size, limit), min(count, limit)
 
 
 def _power(base: int, k: int, limit: Optional[int]) -> int:
@@ -228,32 +239,11 @@ def _power(base: int, k: int, limit: Optional[int]) -> int:
     return base**k
 
 
-def _products(e: ConstructionExpr, limit: int) -> int:
-    """How many products ``eval_expr`` builds for e, one per ``*`` or ``x``
-    node and k - 1 per power, or ``limit`` when that is at least ``limit``.
-
-    A Cartesian power of a 2-face operand, such as ``(pt x pt)^x k``, has 2
-    faces whatever k is, so only this count bounds the work of building it.
-    Each value is clamped as it is computed, so none has more digits than
-    the limit or an exponent."""
-    if isinstance(e, Atom):
-        count = 0
-    elif isinstance(e, Product):
-        count = 1 + _products(e.left, limit) + _products(e.right, limit)
-    elif isinstance(e, Power):
-        count = e.k - 1 + _products(e.base, limit)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    return min(count, limit)
-
-
 def _within_budget(e: ConstructionExpr, cap: int) -> None:
     """Raise BudgetExceeded, naming the count, when building e yields more
     than `cap` faces or takes more than `cap` product constructions."""
-    limit = max(cap + 1, _EXACT_BELOW)
-    checks = {"yields {} faces": _size, "takes {} product constructions": _products}
-    for template, measure in checks.items():
-        count = measure(e, limit)
+    costs = _cost(e, max(cap + 1, _EXACT_BELOW))
+    for template, count in zip(("yields {} faces", "takes {} product constructions"), costs):
         if count > cap:
             shown = template.format(format_count(count))
             raise BudgetExceeded(f"expression {shown}, above the cap of {cap}")
@@ -281,8 +271,8 @@ def eval_expr(e: ConstructionExpr, max_elements: int = DEFAULT_SEARCH_CAP) -> Po
         if isinstance(node, Product):
             left, right = build(node.left, False), build(node.right, False)
         elif isinstance(node, Power):
-            if node.k < 2:  # the base itself, or power's NonPositiveExponent
-                return power(build(node.base, root), node.op, node.k)
+            if node.k == 1:
+                return build(node.base, root)
             left = right = build(node.base, False)
             for _ in range(node.k - 2):
                 left = _TABLES[node.op](left, right)

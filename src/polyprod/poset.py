@@ -70,9 +70,10 @@ class PolytopePoset:
     def __init__(self, labels, ranks, upper, check=True):
         """Faces are given by their labels and ranks, covers by ``upper[i]``,
         the faces covering face i, each counted once (DanglingCover outside
-        0..n-1, ValueError unless one list per label). Duplicate labels,
-        cycles and an empty face set are always rejected; with ``check`` the
-        first structural violation (see ``violations``) is raised too."""
+        0..n-1, ValueError unless one list and one rank per label).
+        Duplicate labels, cycles and an empty face set are always rejected;
+        with ``check`` the first structural violation (see ``violations``)
+        is raised too."""
         self.labels = tuple(labels)
         self.ranks = ranks = tuple(ranks)
         n = len(self.labels)
@@ -89,6 +90,8 @@ class PolytopePoset:
         self.upper = upper = tuple(map(tuple, upper))
         if len(upper) != n:
             raise ValueError(f"{len(upper)} cover lists for {n} elements")
+        if len(ranks) != n:
+            raise ValueError(f"{len(ranks)} ranks for {n} elements")
         found = _lower(upper, ranks)
         if found is None:
             # a list is out of order, repeats a face or leaves the faces: sort

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DuplicateId, NonPositiveExponent
+from .errors import DuplicateId, NonPositiveExponent, NotBounded
 from .poset import PolytopePoset
 
 JOIN = "join"
@@ -99,6 +99,8 @@ def _join(P, Q, fmt=_label) -> _Tables:
 def _cartesian(P, Q, fmt=_label) -> _Tables:
     """The tables of P x Q, with each face (p, q) labelled ``fmt(p, q)``."""
     bp, bq = P.bottom_face, Q.bottom_face
+    if bp is None or bq is None:
+        raise NotBounded("a Cartesian factor has more than one element of minimal rank")
     proper_p = [i for i in range(len(P.ranks)) if i != bp]
     proper_q = [j for j in range(len(Q.ranks)) if j != bq]
     m = len(proper_q)

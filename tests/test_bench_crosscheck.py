@@ -1,7 +1,8 @@
 """``bench/crosscheck.py`` compares brute force and the described generators
-with the family formula on every family node through a step, in process,
-counts a method cut off by its budget as skipped, and exits 1 when they
-disagree. No test here reads a timing."""
+with the family formula on every family node through a step, and brute
+force with closed-form orders on random products, in process; it counts a
+method cut off by its budget as skipped, and exits 1 when they disagree. No
+test here reads a timing."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import json
 from pathlib import Path
 
 import polyprod.cli
-from polyprod.errors import ClosureBudgetExceeded
+from polyprod.errors import ClosureBudgetExceeded, SearchBudgetExceeded
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,3 +62,35 @@ def test_crosscheck_skips_a_method_over_its_budget(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert (report["nodes"], report["disagreements"]) == (7, [])
     assert report["skipped"] == {"brute": [], "generators": ["*pt,xI"]}
+
+
+def test_crosscheck_agrees_on_random_products(capsys):
+    assert _crosscheck().main(["--steps", "0", "--random", "20", "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (report["nodes"], report["disagreements"]) == (1, [])
+    drawn = report["random"]
+    assert (drawn["cases"], drawn["seed"], drawn["disagreements"], drawn["skipped"]) == (
+        20, 1, [], []
+    )
+    assert drawn["brute_s"] > 0 and drawn["slowest"]["text"]
+
+
+def test_crosscheck_exits_1_on_a_random_disagreement(monkeypatch, capsys):
+    """Among the 20 products drawn from seed 1, brute force made to miscount
+    the one of 46 faces, (pt*pt)x(pt*(pt*I)), and to pass its budget on the
+    one of 212, which is a skip."""
+    aut_order = polyprod.cli.aut_order
+
+    def miscounting(P, max_elements):
+        if len(P) == 212:
+            raise SearchBudgetExceeded("search passes its cap")
+        return aut_order(P, max_elements=max_elements) + (len(P) == 46)
+
+    monkeypatch.setattr(polyprod.cli, "aut_order", miscounting)
+    assert _crosscheck().main(["--steps", "0", "--random", "20", "--seed", "1"]) == 1
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["disagreements"] == []
+    assert report["random"]["disagreements"] == [
+        {"text": "(pt*pt)x(pt*(pt*I))", "expected": "order: 48", "brute": "order: 49"}
+    ]
+    assert report["random"]["skipped"] == ["(pt*((I*I)x(pt*I)))xpt"]

@@ -4,7 +4,12 @@ from hypothesis import given, settings, strategies as st
 import polyprod as pp
 from polyprod import expr, family, groups, verify
 from polyprod.autom import closure, described_generators
-from polyprod.errors import BudgetExceeded, MixedOperatorsWithoutParens, ParseError
+from polyprod.errors import (
+    BudgetExceeded,
+    MixedOperatorsWithoutParens,
+    NonPositiveExponent,
+    ParseError,
+)
 from polyprod.expr import Atom, Power, Product
 from polyprod.products import CARTESIAN, JOIN
 
@@ -228,7 +233,32 @@ def test_one_poset_per_expression_equals_stepwise_products(ast):
 def test_clamped_size_is_the_size_or_the_limit(ast, limit):
     """The size eval_expr checks against its cap is exact below the limit,
     and the limit itself from there on."""
-    assert expr._size(ast, limit) == min(expr.expr_size(ast), limit)
+    assert expr._cost(ast, limit)[0] == min(expr.expr_size(ast), limit)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_power_below_one_is_rejected_before_sizing(k):
+    """The parser rejects an exponent below 1; a hand-built power with one
+    has no size and builds nothing."""
+    ast = Power(CARTESIAN, Atom("I"), k)
+    with pytest.raises(NonPositiveExponent, match=f"^exponent must be >= 1, got {k}$"):
+        expr.expr_size(ast)
+    with pytest.raises(NonPositiveExponent, match=f"^exponent must be >= 1, got {k}$"):
+        pp.eval_expr(ast)
+
+
+@pytest.mark.parametrize("text, base", [("I^x1", "I"), ("(I*pt)^*1", "I*pt"), ("pt^x1", "pt")])
+def test_power_one_is_its_base_without_power(monkeypatch, text, base):
+    """eval_expr builds a power of exponent 1 as its base, without
+    ``products.power``."""
+
+    def refused(*args):
+        raise AssertionError("products.power called")
+
+    monkeypatch.setattr(pp.products, "power", refused)
+    monkeypatch.setattr(expr, "power", refused, raising=False)
+    P, Q = pp.eval_expr(pp.parse_expr(text)), pp.eval_expr(pp.parse_expr(base))
+    assert (P.labels, P.ranks, P.upper) == (Q.labels, Q.ranks, Q.upper)
 
 
 def test_nesting_limit_counts_parentheses_and_operators():

@@ -410,21 +410,25 @@ def test_repeated_covers_count_once_and_self_covers_are_cycles():
 
 
 @pytest.mark.parametrize(
-    "upper, error, match",
+    "ranks, upper, error, match",
     [
-        ([[1, 2], [3, -1], [3], []], DanglingCover, "^element 'a' is covered by -1, not a face$"),
-        ([[1, 2], [3, 7], [3], []], DanglingCover, "^element 'a' is covered by 7, not a face$"),
-        ([[1, 2], [3], [3]], ValueError, "^3 cover lists for 4 elements$"),
+        ((-1, 0, 0, 1), [[1, 2], [3, -1], [3], []], DanglingCover,
+         "^element 'a' is covered by -1, not a face$"),
+        ((-1, 0, 0, 1), [[1, 2], [3, 7], [3], []], DanglingCover,
+         "^element 'a' is covered by 7, not a face$"),
+        ((-1, 0, 0, 1), [[1, 2], [3], [3]], ValueError, "^3 cover lists for 4 elements$"),
+        ((-1, 0, 0), [[1, 2], [3], [3], []], ValueError, "^3 ranks for 4 elements$"),
+        ((-1, 0, 0, 1, 2), [[1, 2], [3], [3], []], ValueError, "^5 ranks for 4 elements$"),
     ],
-    ids=["negative", "past-the-end", "one-list-short"],
+    ids=["negative", "past-the-end", "one-list-short", "one-rank-short", "one-rank-over"],
 )
-def test_cover_lists_must_name_faces(upper, error, match):
+def test_cover_lists_must_name_faces(ranks, upper, error, match):
     """An entry outside the faces 0..n-1 is DanglingCover, naming its face
-    and the entry, and cover lists not one per face are ValueError, with or
-    without ``check``."""
+    and the entry, and cover lists or ranks not one per face are ValueError,
+    with or without ``check``."""
     for check in (False, True):
         with pytest.raises(error, match=match):
-            poset.PolytopePoset(("0", "a", "b", "1"), (-1, 0, 0, 1), upper, check=check)
+            poset.PolytopePoset(("0", "a", "b", "1"), ranks, upper, check=check)
 
 
 @pytest.mark.parametrize(

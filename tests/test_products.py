@@ -3,7 +3,7 @@ import random
 import pytest
 
 import polyprod as pp
-from polyprod.errors import NonPositiveExponent
+from polyprod.errors import NonPositiveExponent, NotBounded
 from polyprod.poset import order_isomorphisms
 from polyprod.products import CARTESIAN, JOIN, _lift, _swap
 
@@ -173,6 +173,26 @@ def test_product_and_power_reject_unknown_op(seg):
     for k in (1, 2):
         with pytest.raises(ValueError, match="unknown product"):
             pp.power(seg, "meet", k)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda P, Q: pp.cartesian(P, Q),
+        lambda P, Q: pp.cartesian(Q, P),
+        lambda P, Q: pp.product(CARTESIAN, Q, P),
+        lambda P, Q: pp.power(P, CARTESIAN, 2),
+        lambda P, Q: pp.join(P, Q),
+    ],
+    ids=["cartesian-left", "cartesian-right", "product", "power", "join"],
+)
+def test_product_rejects_a_factor_without_a_unique_bottom(seg, build):
+    """A factor built unchecked with two minimal faces has no bottom face:
+    a product with it, in either position, is NotBounded."""
+    P = pp.PolytopePoset(("a", "b", "c"), (-1, -1, 0), [[2], [2], []], check=False)
+    assert P.bottom_face is None
+    with pytest.raises(NotBounded):
+        build(P, seg)
 
 
 def _edge(a, b, lo="lo"):
