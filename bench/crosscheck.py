@@ -1,7 +1,7 @@
 """Brute-force and generator group orders against the family formula, and
 brute force against closed-form orders on random products.
 
-    python3 bench/crosscheck.py --steps N [--random K --seed S] [--src SRC]
+    python3 bench/crosscheck.py --steps N [--random K] [--src SRC]
 
 For every node of the inductive family through step N, as ``polyprod family
 --steps k --json`` lists them for k = 0..N, the node's expression is spelt
@@ -16,8 +16,8 @@ Any other command that fails has no such line and disagrees. SRC is a
 directory that holds a ``polyprod`` package, by default the ``src`` of this
 checkout.
 
-With ``--random K``, K expressions are drawn with repeats, from seed S
-(default 0): joins and Cartesian products of ``pt`` and ``I``, nested at
+With ``--random K``, K expressions are drawn with repeats, from seed
+RANDOM_SEED: joins and Cartesian products of ``pt`` and ``I``, nested at
 most 4 deep, kept when they have 20 to 400 faces. ``aut --method brute
 --max-elements 100000`` answers each, and its ``order:`` line must give the
 order that ``perfbench/shapes.py`` computes from the expression's
@@ -50,6 +50,7 @@ BRUTE_CAP = 100_000
 RANDOM_DEPTH = 4
 RANDOM_FACES = range(20, 401)
 LEAF_CHANCE = 0.3  # of a node above the deepest level being pt or I
+RANDOM_SEED = 1
 METHODS = ("brute", "generators")
 _STEP_TEXT = {"xI": " x I", "*pt": " * pt"}
 
@@ -78,6 +79,19 @@ def order_line(text: str):
     return next((line for line in text.splitlines() if line.startswith("order:")), None)
 
 
+def compare(cli, argv: list[str], expected) -> tuple[str, str | None, float]:
+    """Whether the ``order:`` line of ``argv`` "agrees" with ``expected``,
+    is "skipped" (exit 4, its budget passed) or "differs" (also when
+    ``expected`` is None), with that line and the command's seconds."""
+    start = perf_counter()
+    code, out = ask(cli, argv)
+    elapsed = perf_counter() - start
+    line = order_line(out)
+    if code == cli.EXIT_BUDGET:
+        return "skipped", line, elapsed
+    return ("differs" if expected is None or line != expected else "agrees"), line, elapsed
+
+
 def expression(path: list[str]) -> str:
     text = "I"
     for step in path:
@@ -100,16 +114,14 @@ def crosscheck(cli, steps: int) -> dict:
         formula = order_line(ask(cli, ["aut", "--method", "formula", text])[1])
         differs = {}
         for method in METHODS:
-            start = perf_counter()
-            code, out = ask(cli, [*cap, "aut", "--method", method, text])
-            elapsed = perf_counter() - start
+            verdict, line, elapsed = compare(cli, [*cap, "aut", "--method", method, text], formula)
             seconds[method] += elapsed
             if method == "brute" and elapsed > slowest["brute_s"]:
                 slowest = {"path": path, "brute_s": elapsed}
-            if code == cli.EXIT_BUDGET:
+            if verdict == "skipped":
                 skipped[method].append(path)
-            elif formula is None or order_line(out) != formula:
-                differs[method] = order_line(out)
+            elif verdict == "differs":
+                differs[method] = line
         if formula is None or differs:
             disagreements.append({"path": path, "formula": formula, **differs})
     return {"steps": steps, "nodes": len(nodes), "disagreements": disagreements,
@@ -128,13 +140,13 @@ def load_shapes():
     return shapes
 
 
-def random_shapes(shapes, k: int, seed: int) -> list:
+def random_shapes(shapes, k: int) -> list:
     """k random products drawn with repeats: pt or I at depth RANDOM_DEPTH,
     above it pt or I with chance LEAF_CHANCE, else the join or Cartesian
     product of two draws one level deeper; a draw is kept when its faces
     fall in RANDOM_FACES. Such trees have fewer than 200 factorisations
     in the band, so the draw does not ask for distinct ones."""
-    rng = random.Random(seed)
+    rng = random.Random(RANDOM_SEED)
     atoms, products = (shapes.PT, shapes.I), (shapes.join, shapes.cart)
 
     def draw(depth):
@@ -150,26 +162,24 @@ def random_shapes(shapes, k: int, seed: int) -> list:
     return drawn
 
 
-def crosscheck_random(cli, k: int, seed: int) -> dict:
+def crosscheck_random(cli, k: int) -> dict:
     shapes = load_shapes()
     disagreements, skipped = [], []
     seconds = 0.0
     slowest = {"text": None, "brute_s": 0.0}
-    for shape in random_shapes(shapes, k, seed):
+    for shape in random_shapes(shapes, k):
         expected = f"order: {shapes.canon_order(shape.canon)}"
-        start = perf_counter()
-        code, out = ask(cli, ["--max-elements", str(BRUTE_CAP), "aut", "--method", "brute",
-                              shape.text])
-        elapsed = perf_counter() - start
+        verdict, line, elapsed = compare(
+            cli, ["--max-elements", str(BRUTE_CAP), "aut", "--method", "brute", shape.text],
+            expected)
         seconds += elapsed
         if elapsed > slowest["brute_s"]:
             slowest = {"text": shape.text, "brute_s": elapsed}
-        if code == cli.EXIT_BUDGET:
+        if verdict == "skipped":
             skipped.append(shape.text)
-        elif order_line(out) != expected:
-            disagreements.append({"text": shape.text, "expected": expected,
-                                  "brute": order_line(out)})
-    return {"cases": k, "seed": seed, "disagreements": disagreements, "skipped": skipped,
+        elif verdict == "differs":
+            disagreements.append({"text": shape.text, "expected": expected, "brute": line})
+    return {"cases": k, "seed": RANDOM_SEED, "disagreements": disagreements, "skipped": skipped,
             "brute_s": seconds, "slowest": slowest}
 
 
@@ -177,12 +187,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--steps", type=int, required=True)
     parser.add_argument("--random", type=int, default=0, metavar="K")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--src", default=SRC)
     args = parser.parse_args(argv)
     cli = load_cli(os.path.abspath(args.src))
     report = crosscheck(cli, args.steps)
-    report["random"] = crosscheck_random(cli, args.random, args.seed)
+    report["random"] = crosscheck_random(cli, args.random)
     print(json.dumps(report))
     return 1 if report["disagreements"] or report["random"]["disagreements"] else 0
 

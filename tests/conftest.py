@@ -1,4 +1,6 @@
 import functools
+import importlib.util
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -132,3 +134,13 @@ def exact_tests(monkeypatch):
 
     monkeypatch.setattr(verify, "_connected", counting)
     return calls
+
+
+def crosscheck_module():
+    """``bench/crosscheck.py``, loaded afresh; import it with ``from
+    conftest import crosscheck_module``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "crosscheck.py"
+    spec = importlib.util.spec_from_file_location("crosscheck", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

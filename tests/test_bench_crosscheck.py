@@ -6,25 +6,16 @@ test here reads a timing."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
 
 import polyprod.cli
 from polyprod.errors import ClosureBudgetExceeded, SearchBudgetExceeded
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _crosscheck():
-    spec = importlib.util.spec_from_file_location("crosscheck", ROOT / "bench" / "crosscheck.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import crosscheck_module
 
 
 def test_crosscheck_agrees_through_step_3(capsys):
-    assert _crosscheck().main(["--steps", "3"]) == 0
+    assert crosscheck_module().main(["--steps", "3"]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert (report["steps"], report["nodes"], report["disagreements"]) == (3, 15, [])
     assert report["skipped"] == {"brute": [], "generators": []}
@@ -39,7 +30,7 @@ def test_crosscheck_exits_1_on_a_disagreement(monkeypatch, capsys):
         return aut_order(P, max_elements=max_elements) + (len(P) == 22)
 
     monkeypatch.setattr(polyprod.cli, "aut_order", miscounting)
-    assert _crosscheck().main(["--steps", "2"]) == 1
+    assert crosscheck_module().main(["--steps", "2"]) == 1
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert report["nodes"] == 7
     assert report["disagreements"] == [
@@ -58,14 +49,14 @@ def test_crosscheck_skips_a_method_over_its_budget(monkeypatch, capsys):
         return closure(gens, P, max_size=max_size)
 
     monkeypatch.setattr(polyprod.cli, "closure", capped)
-    assert _crosscheck().main(["--steps", "2"]) == 0
+    assert crosscheck_module().main(["--steps", "2"]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert (report["nodes"], report["disagreements"]) == (7, [])
     assert report["skipped"] == {"brute": [], "generators": ["*pt,xI"]}
 
 
 def test_crosscheck_agrees_on_random_products(capsys):
-    assert _crosscheck().main(["--steps", "0", "--random", "20", "--seed", "1"]) == 0
+    assert crosscheck_module().main(["--steps", "0", "--random", "20"]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert (report["nodes"], report["disagreements"]) == (1, [])
     drawn = report["random"]
@@ -87,7 +78,7 @@ def test_crosscheck_exits_1_on_a_random_disagreement(monkeypatch, capsys):
         return aut_order(P, max_elements=max_elements) + (len(P) == 46)
 
     monkeypatch.setattr(polyprod.cli, "aut_order", miscounting)
-    assert _crosscheck().main(["--steps", "0", "--random", "20", "--seed", "1"]) == 1
+    assert crosscheck_module().main(["--steps", "0", "--random", "20"]) == 1
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert report["disagreements"] == []
     assert report["random"]["disagreements"] == [

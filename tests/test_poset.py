@@ -1,9 +1,7 @@
 import json
 import random
-import sys
 from collections import defaultdict
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +21,7 @@ from polyprod.errors import (
 )
 from polyprod.products import CARTESIAN, JOIN
 
-from conftest import asts
+from conftest import asts, crosscheck_module
 from oracles import naive_leq, naive_maximal_chains, naive_interval
 from test_verify import _ranked_posets
 
@@ -179,17 +177,6 @@ def test_not_isomorphic_equal_size_signatures_differ(table_holders):
     assert table_holders("_search") == [P, Q, R]
 
 
-def _shapes():
-    """``perfbench/shapes.py``, whose factorisations (``canon``) are computed
-    from the construction alone, without polyprod."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    try:
-        import shapes
-    finally:
-        sys.path.pop(0)
-    return shapes
-
-
 def _random_ast(rng, leaves):
     """A random expression tree over ``leaves`` atoms, counting a power's
     base as one fewer."""
@@ -210,7 +197,7 @@ def test_search_answers_not_isomorphic_exactly_where_factorisations_differ():
     every pair that is not isomorphic apart, so a hexagon against two
     triangles under one top, whose multisets agree, makes the search itself
     answer "not isomorphic"."""
-    shapes = _shapes()
+    shapes = crosscheck_module().load_shapes()
     fold = {JOIN: shapes.join, CARTESIAN: shapes.cart}
 
     def shape(e):
